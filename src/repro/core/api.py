@@ -73,8 +73,11 @@ class OpTable:
             _name, fn = self._ops[opcode]
         except IndexError:
             raise ValueError(f"unknown opcode {opcode}") from None
-        if self.dispatch_cost:
-            yield from ctx.work(self.dispatch_cost)
+        c = self.dispatch_cost
+        if c > 0:
+            # ctx.work(c), inlined: one generator fewer per op
+            ctx.core.busy += c
+            yield c
         retval = yield from fn(ctx, arg)
         return int(retval) if retval is not None else 0
 
@@ -108,15 +111,6 @@ class SyncPrimitive:
         self.machine = machine
         self.optable = optable
         self._started = False
-        #: application threads currently inside ``apply_op`` (the
-        #: delegation-layer queue depth: registered-but-unserved plus
-        #: in-service requests).  Pure Python bookkeeping sampled by the
-        #: open-loop driver's queue-depth series; costs no simulated
-        #: cycles and is never read by protocols.  A fail-stop crash
-        #: abandons the generator without unwinding, so a crashed
-        #: caller's increment leaks -- the gauge is a stat, not an
-        #: invariant.
-        self.inflight = 0
         #: (end_time, ops_combined) per combining session -- combiners only
         self.combining_sessions: List[Tuple[int, int]] = []
         #: core of the most recent combiner (combiners only; used by the
@@ -161,7 +155,7 @@ class SyncPrimitive:
         (see :mod:`repro.workload.openloop`).  Server primitives override
         this with a genuinely timed pre-commit wait.
         """
-        return (yield from self.apply_op(ctx, opcode, arg))
+        return self.apply_op(ctx, opcode, arg)
 
     # -- metrics hooks -----------------------------------------------------
     def servicing_cores(self) -> List[int]:
@@ -206,7 +200,7 @@ class DirectExec(SyncPrimitive):
     name = "ideal"
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG):
-        return (yield from self.optable.execute(ctx, opcode, arg))
+        return self.optable.execute(ctx, opcode, arg)
 
     def servicing_cores(self) -> List[int]:
         return []

@@ -143,13 +143,6 @@ class CCSynch(SyncPrimitive):
             tmp = nxt
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            return (yield from self._apply_op(ctx, opcode, arg))
-        finally:
-            self.inflight -= 1
-
-    def _apply_op(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, int]:
         mynode = self._spare_of(ctx.tid)
         # 1. prepare the new dummy and enter the queue
         yield from ctx.store(mynode + _WAIT, 1)

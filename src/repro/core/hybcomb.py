@@ -217,7 +217,7 @@ class HybComb(SyncPrimitive):
 
     # -- lease helpers ---------------------------------------------------------
     def _heartbeat(self, ctx: ThreadCtx, my_node: int) -> Generator[Any, Any, None]:
-        yield from ctx.store(my_node + _LEASE, self.machine.now)
+        return ctx.store(my_node + _LEASE, self.machine.now)
 
     def _lease_stale(self, ctx: ThreadCtx, node: int) -> Generator[Any, Any, bool]:
         lease = yield from ctx.load(node + _LEASE)
@@ -251,13 +251,6 @@ class HybComb(SyncPrimitive):
 
     # -- Algorithm 1 -----------------------------------------------------------
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            return (yield from self._apply_op(ctx, opcode, arg))
-        finally:
-            self.inflight -= 1
-
-    def _apply_op(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, int]:
         tid = ctx.tid
         my_node = self._node_of(tid)
         cas_failures = 0

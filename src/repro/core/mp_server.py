@@ -240,15 +240,11 @@ class MPServer(SyncPrimitive):
                          prim=self.name, start=svc_start)
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            if not self.fault_tolerant:
-                yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg])
-                words = yield from ctx.receive(1)
-                return words[0]
-            return (yield from self._ft_apply_op(ctx, opcode, arg))
-        finally:
-            self.inflight -= 1
+        if not self.fault_tolerant:
+            yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg])
+            words = yield from ctx.receive(1)
+            return words[0]
+        return (yield from self._ft_apply_op(ctx, opcode, arg))
 
     def apply_op_timed(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
                        timeout: Optional[int] = None) -> Generator[Any, Any, int]:
@@ -269,20 +265,16 @@ class MPServer(SyncPrimitive):
         """
         if timeout is None or self.fault_tolerant:
             return (yield from self.apply_op(ctx, opcode, arg))
-        self.inflight += 1
         try:
-            try:
-                yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg],
-                                    timeout=timeout)
-            except SendTimeout as exc:
-                raise DispatchTimeout(
-                    f"thread {ctx.tid}: request injection backpressured for "
-                    f"{exc.waited} cycles (server hardware queue full)",
-                    exc.waited) from None
-            words = yield from ctx.receive(1)
-            return words[0]
-        finally:
-            self.inflight -= 1
+            yield from ctx.send(self.server_tid, [ctx.tid, opcode, arg],
+                                timeout=timeout)
+        except SendTimeout as exc:
+            raise DispatchTimeout(
+                f"thread {ctx.tid}: request injection backpressured for "
+                f"{exc.waited} cycles (server hardware queue full)",
+                exc.waited) from None
+        words = yield from ctx.receive(1)
+        return words[0]
 
     def _ft_apply_op(self, ctx: ThreadCtx, opcode: int, arg: int) -> Generator[Any, Any, int]:
         tid = ctx.tid

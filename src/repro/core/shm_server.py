@@ -190,15 +190,11 @@ class ShmServer(SyncPrimitive):
         return ch, seq
 
     def apply_op(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG) -> Generator[Any, Any, int]:
-        self.inflight += 1
-        try:
-            ch, seq = yield from self._post_request(ctx, opcode, arg)
-            # local spin until the server's response sequence catches up
-            yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
-            retval = yield from ctx.load(ch + _RETVAL)
-            return retval
-        finally:
-            self.inflight -= 1
+        ch, seq = yield from self._post_request(ctx, opcode, arg)
+        # local spin until the server's response sequence catches up
+        yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
+        retval = yield from ctx.load(ch + _RETVAL)
+        return retval
 
     def apply_op_timed(self, ctx: ThreadCtx, opcode: int, arg: int = NULL_ARG,
                        timeout: Optional[int] = None) -> Generator[Any, Any, int]:
@@ -216,35 +212,31 @@ class ShmServer(SyncPrimitive):
             return (yield from self.apply_op(ctx, opcode, arg))
         if timeout < 1:
             raise ValueError("timeout must be >= 1 cycle")
-        self.inflight += 1
+        ch, seq = yield from self._post_request(ctx, opcode, arg)
+        sim = ctx.sim
+        t0 = sim.now
+        timer = WaitTimer(sim, sim.current, t0 + timeout)
         try:
-            ch, seq = yield from self._post_request(ctx, opcode, arg)
-            sim = ctx.sim
-            t0 = sim.now
-            timer = WaitTimer(sim, sim.current, t0 + timeout)
-            try:
-                yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
-            except Interrupt as exc:
-                if exc.cause is not timer:
-                    raise
-                waited = sim.now - t0
-                gone = yield from ctx.cas(ch + _CLAIM, seq, _GONE + seq)
-                if gone:
-                    obs = sim.obs
-                    if obs is not None:
-                        obs.emit("dispatch.timeout", core=ctx.core.cid,
-                                 tid=ctx.tid, prim=self.name, waited=waited)
-                    raise DispatchTimeout(
-                        f"thread {ctx.tid}: request unclaimed by the server "
-                        f"after {waited} cycles", waited) from None
-                # lost the race: the server owns the request; see it through
-                yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
-            finally:
-                timer.disarm()
-            retval = yield from ctx.load(ch + _RETVAL)
-            return retval
+            yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
+        except Interrupt as exc:
+            if exc.cause is not timer:
+                raise
+            waited = sim.now - t0
+            gone = yield from ctx.cas(ch + _CLAIM, seq, _GONE + seq)
+            if gone:
+                obs = sim.obs
+                if obs is not None:
+                    obs.emit("dispatch.timeout", core=ctx.core.cid,
+                             tid=ctx.tid, prim=self.name, waited=waited)
+                raise DispatchTimeout(
+                    f"thread {ctx.tid}: request unclaimed by the server "
+                    f"after {waited} cycles", waited) from None
+            # lost the race: the server owns the request; see it through
+            yield from ctx.spin_until(ch + _RESP_SEQ, lambda v: v == seq)
         finally:
-            self.inflight -= 1
+            timer.disarm()
+        retval = yield from ctx.load(ch + _RETVAL)
+        return retval
 
     def servicing_cores(self) -> List[int]:
         return [self.server_ctx.core.cid]

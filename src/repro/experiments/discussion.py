@@ -89,9 +89,7 @@ def _oversub_point(tpc: int, num_cores: int, spec: WorkloadSpec) -> RunResult:
             tid += 1
 
     def make_op(ctx):
-        def op(k):
-            yield from counter.increment(ctx)
-        return op
+        return lambda k: counter.increment(ctx)
 
     return run_workload(machine, ctxs, make_op, spec,
                         name=f"{tpc} threads/core", prim=prim)
@@ -128,9 +126,7 @@ def _backpressure_point(clients: int, buffer_words: int,
     ctxs = [machine.thread(t) for t in range(1, clients + 1)]
 
     def make_op(ctx):
-        def op(k):
-            yield from counter.increment(ctx)
-        return op
+        return lambda k: counter.increment(ctx)
 
     r = run_workload(machine, ctxs, make_op, spec, name="mp-server", prim=prim)
     r.extra["backpressure_cycles"] = machine.udn.backpressure_cycles

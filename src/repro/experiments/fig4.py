@@ -89,9 +89,7 @@ def _ideal_cs_point(k: int, seed: int) -> RunResult:
     ctx = machine.thread(0)
 
     def make_op(c):
-        def op(_i, _k=k):
-            yield from arr.run(c, _k)
-        return op
+        return lambda _i: arr.run(c, k)
 
     ideal_spec = WorkloadSpec(warmup_cycles=2000,
                               measure_cycles=20_000,

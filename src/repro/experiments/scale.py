@@ -28,7 +28,7 @@ re-placed along the mesh edge; at 6x6 it *is* ``tile_gx``, so the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.series import FigureData
 from repro.core import OpTable
@@ -121,9 +121,7 @@ def run_scale_point(approach: str, num_cores: int, *,
     ctxs = [machine.thread(tid) for tid in tids]
 
     def make_op(ctx: ThreadCtx):
-        def op(k: int) -> Generator[Any, Any, None]:
-            yield from counter.increment(ctx)
-        return op
+        return lambda k: counter.increment(ctx)
 
     result = run_workload(machine, ctxs, make_op, spec, name=approach,
                           prim=prim)

@@ -101,6 +101,11 @@ class CoherentMemory:
         self.mesh = mesh
         self.cores = cores
         self.store_backing = BackingStore()
+        # hit-path constants (the config is fixed once the machine is built)
+        self._words = self.store_backing.words
+        self._line_words = cfg.line_words
+        self._c_hit = cfg.c_hit
+        self._coherent = cfg.has_coherent_shm
         self.allocator = Allocator(line_words=cfg.line_words)
         self._lines: Dict[int, _Line] = {}
         # shared coordinate geometry for every line's sparse sharer set
@@ -170,7 +175,7 @@ class CoherentMemory:
 
     # -- address helpers ---------------------------------------------------
     def line_of(self, addr: int) -> int:
-        return addr // self.cfg.line_words
+        return addr // self._line_words
 
     def home_node(self, line: int) -> int:
         """The mesh node homing this line's directory entry (hashed)."""
@@ -210,27 +215,30 @@ class CoherentMemory:
     def load(self, core: Core, addr: int) -> Generator[Any, Any, int]:
         """Coherent 64-bit load; returns the value."""
         core.loads += 1
-        if not self.cfg.has_coherent_shm:
-            self._private_check(core, self.line_of(addr), "load")
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
-            return self.store_backing.read(addr)
-        line_no = self.line_of(addr)
+        line_no = addr // self._line_words
+        if not self._coherent:
+            self._private_check(core, line_no, "load")
+            c = self._c_hit
+            core.busy += c
+            yield c
+            return self._words.get(addr, 0)
         entry = self._lines.get(line_no)
         cid = core.cid
         # join an in-flight prefetch for this line, if any (MSHR hit):
         # stall only for the remaining transfer time
-        pending = self._prefetches.get((cid, line_no))
-        if pending is not None and not pending.triggered:
-            t0 = self.sim.now
-            yield pending
-            self._charge_stall_mem(core, self.sim.now - t0, line_no, "mshr")
-            entry = self._lines.get(line_no)
+        if self._prefetches:
+            pending = self._prefetches.get((cid, line_no))
+            if pending is not None and not pending.triggered:
+                t0 = self.sim.now
+                yield pending
+                self._charge_stall_mem(core, self.sim.now - t0, line_no, "mshr")
+                entry = self._lines.get(line_no)
         if entry is not None and (entry.owner == cid or cid in entry.sharers):
             # cache hit
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
-            return self.store_backing.read(addr)
+            c = self._c_hit
+            core.busy += c
+            yield c
+            return self._words.get(addr, 0)
         # miss: RMR
         entry = self._line(line_no)
         core.rmr += 1
@@ -355,22 +363,26 @@ class CoherentMemory:
         fence has to wait for.
         """
         core.stores += 1
-        line_no = self.line_of(addr)
-        if not self.cfg.has_coherent_shm:
+        line_no = addr // self._line_words
+        if not self._coherent:
             self._private_check(core, line_no, "store")
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
-            self.store_backing.write(addr, value)
+            c = self._c_hit
+            core.busy += c
+            yield c
+            self._words[addr] = value & WORD_MASK
             self.wake_line(line_no)  # wake same-core siblings
             return
         entry = self._lines.get(line_no)
         cid = core.cid
         if entry is not None and entry.owner == cid:
-            # write hit in M
-            core.busy += self.cfg.c_hit
-            yield self.cfg.c_hit
-            self.store_backing.write(addr, value)
-            entry.notify()
+            # write hit in M (entry.notify() inlined: wake any spinners)
+            c = self._c_hit
+            core.busy += c
+            yield c
+            self._words[addr] = value & WORD_MASK
+            cond = entry._cond
+            if cond is not None:
+                cond.notify_all()
             return
         while True:
             pending = self._sb_event.get(cid)
@@ -485,17 +497,16 @@ class CoherentMemory:
         return value
 
     # -- atomics (delegated to the attached executor) -----------------------
+    # faa/swap only count and forward: they return the executor's generator
     def faa(self, core: Core, addr: int, delta: int) -> Generator[Any, Any, int]:
         """Fetch-and-add; returns the previous value."""
         core.faa_ops += 1
-        old = yield from self.atomics.rmw(core, addr, lambda v: (v + delta) & WORD_MASK)
-        return old
+        return self.atomics.rmw(core, addr, lambda v: (v + delta) & WORD_MASK)
 
     def swap(self, core: Core, addr: int, value: int) -> Generator[Any, Any, int]:
         """Atomic exchange; returns the previous value."""
         core.swap_ops += 1
-        old = yield from self.atomics.rmw(core, addr, lambda v: value & WORD_MASK)
-        return old
+        return self.atomics.rmw(core, addr, lambda v: value & WORD_MASK)
 
     def cas(self, core: Core, addr: int, expected: int, new: int) -> Generator[Any, Any, bool]:
         """Compare-and-set; returns True on success (the boolean variant)."""

@@ -27,19 +27,20 @@ NULL = 0
 class BackingStore:
     """The flat memory: word address -> 64-bit value (default 0)."""
 
-    __slots__ = ("_mem",)
+    __slots__ = ("words",)
 
     def __init__(self) -> None:
-        self._mem: Dict[int, int] = {}
+        # the cache-hit path reads and writes this dict directly (masked)
+        self.words: Dict[int, int] = {}
 
     def read(self, addr: int) -> int:
-        return self._mem.get(addr, 0)
+        return self.words.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
-        self._mem[addr] = value & WORD_MASK
+        self.words[addr] = value & WORD_MASK
 
     def __len__(self) -> int:
-        return len(self._mem)
+        return len(self.words)
 
 
 class Allocator:

@@ -45,11 +45,11 @@ class LockedCounter:
 
     def increment(self, ctx: ThreadCtx) -> Generator[Any, Any, int]:
         """Atomically increment; returns the previous value."""
-        return (yield from self.prim.apply_op(ctx, self._op_inc))
+        return self.prim.apply_op(ctx, self._op_inc)
 
     def read(self, ctx: ThreadCtx) -> Generator[Any, Any, int]:
         """Linearizable read of the current value."""
-        return (yield from self.prim.apply_op(ctx, self._op_read))
+        return self.prim.apply_op(ctx, self._op_read)
 
     def value(self) -> int:
         """Zero-cost debug peek (outside simulated time)."""
@@ -83,7 +83,7 @@ class ArrayCS:
 
     def run(self, ctx: ThreadCtx, iterations: int) -> Generator[Any, Any, int]:
         """Execute one CS of ``iterations`` loop iterations."""
-        return (yield from self.prim.apply_op(ctx, self._op, iterations))
+        return self.prim.apply_op(ctx, self._op, iterations)
 
     def total_increments(self) -> int:
         """Zero-cost debug sum of all array elements."""

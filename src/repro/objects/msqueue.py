@@ -88,12 +88,12 @@ class OneLockMSQueue(_MSQueueBase):
         yield from self.pool.free(ctx, head)  # old dummy retires
         return value
 
-    def enqueue(self, ctx: ThreadCtx, value: int) -> Generator[Any, Any, None]:
-        yield from self.prim.apply_op(ctx, self._op_enq, value)
+    def enqueue(self, ctx: ThreadCtx, value: int) -> Generator[Any, Any, int]:
+        return self.prim.apply_op(ctx, self._op_enq, value)
 
     def dequeue(self, ctx: ThreadCtx) -> Generator[Any, Any, int]:
         """Returns the oldest value, or EMPTY."""
-        return (yield from self.prim.apply_op(ctx, self._op_deq))
+        return self.prim.apply_op(ctx, self._op_deq)
 
 
 class TwoLockMSQueue(_MSQueueBase):
@@ -140,8 +140,8 @@ class TwoLockMSQueue(_MSQueueBase):
         yield from self.pool.free(ctx, head)
         return value
 
-    def enqueue(self, ctx: ThreadCtx, value: int) -> Generator[Any, Any, None]:
-        yield from self.enq_prim.apply_op(ctx, self._op_enq, value)
+    def enqueue(self, ctx: ThreadCtx, value: int) -> Generator[Any, Any, int]:
+        return self.enq_prim.apply_op(ctx, self._op_enq, value)
 
     def dequeue(self, ctx: ThreadCtx) -> Generator[Any, Any, int]:
-        return (yield from self.deq_prim.apply_op(ctx, self._op_deq))
+        return self.deq_prim.apply_op(ctx, self._op_deq)

@@ -52,12 +52,12 @@ class LockedStack:
         yield from self.pool.free(ctx, top)
         return value
 
-    def push(self, ctx: ThreadCtx, value: int) -> Generator[Any, Any, None]:
-        yield from self.prim.apply_op(ctx, self._op_push, value)
+    def push(self, ctx: ThreadCtx, value: int) -> Generator[Any, Any, int]:
+        return self.prim.apply_op(ctx, self._op_push, value)
 
     def pop(self, ctx: ThreadCtx) -> Generator[Any, Any, int]:
         """Returns the newest value, or EMPTY."""
-        return (yield from self.prim.apply_op(ctx, self._op_pop))
+        return self.prim.apply_op(ctx, self._op_pop)
 
     def drain_to_list(self) -> list:
         """Top-to-bottom contents, read outside simulated time."""

@@ -40,6 +40,7 @@ appear in a linearization.
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -326,15 +327,25 @@ def _dispatch(
     adm: AdmissionSpec,
     state: Dict[str, Any],
     counters: Dict[str, int],
+    inflight: List[int],
 ) -> Generator[Any, Any, Tuple[bool, Optional[int]]]:
     """One admitted op through the policy; returns ``(completed, retval)``.
 
     ``(False, None)`` means the op was dropped after exhausting its
     retries -- every attempt ended in a pre-commit
     :class:`DispatchTimeout`, so the op provably never executed.
+
+    ``inflight[0]`` is the queue-depth gauge's in-service half: it is up
+    by one for exactly the span of each ``apply_op``/``apply_op_timed``
+    call.  Pure bookkeeping, no simulated cycles; a fail-stop crash leaks
+    its caller's increment -- a stat, not an invariant.
     """
     if adm.policy != "retry":
-        retval = yield from prim.apply_op(ctx, opcode, arg)
+        inflight[0] += 1
+        try:
+            retval = yield from prim.apply_op(ctx, opcode, arg)
+        finally:
+            inflight[0] -= 1
         return True, retval
     sim = ctx.sim
     attempt = 0
@@ -348,9 +359,13 @@ def _dispatch(
                 yield from ctx.work(remaining)
             state["open_until"] = None
             state["half_open"] = True
+        inflight[0] += 1
         try:
-            retval = yield from prim.apply_op_timed(
-                ctx, opcode, arg, timeout=adm.dispatch_timeout_cycles)
+            try:
+                retval = yield from prim.apply_op_timed(
+                    ctx, opcode, arg, timeout=adm.dispatch_timeout_cycles)
+            finally:
+                inflight[0] -= 1
         except DispatchTimeout:
             counters["timeouts"] += 1
             state["consecutive"] += 1
@@ -424,16 +439,20 @@ def bounded_worker(
     arg_of: Optional[Callable[[ThreadCtx, int], int]] = None,
     on_result: Optional[Callable[[ThreadCtx, int, int, int, int], None]] = None,
     on_shed: Optional[Callable[[ThreadCtx, int], None]] = None,
+    inflight: Optional[List[int]] = None,
 ) -> Generator[Any, Any, None]:
     """Drain ``queue`` through ``prim`` until it closes.
 
     ``on_result(ctx, k, retval, invoke_t, response_t)`` fires for every
     completed op (the hook the linearizability scenarios use to record
-    history); ``on_shed(ctx, k)`` for every retry-shed one.
+    history); ``on_shed(ctx, k)`` for every retry-shed one.  ``inflight``
+    is an optional one-element cell counting ops inside a dispatch.
     """
     state = _breaker_state()
     counters: Dict[str, int] = {"timeouts": 0, "retries": 0,
                                 "retry_shed": 0, "breaker_trips": 0}
+    if inflight is None:
+        inflight = [0]
     while True:
         item = yield from queue.take()
         if item is None:
@@ -442,7 +461,7 @@ def bounded_worker(
         arg = arg_of(ctx, k) if arg_of is not None else NULL_ARG
         t0 = ctx.sim.now
         ok, retval = yield from _dispatch(ctx, prim, opcode, arg, adm,
-                                          state, counters)
+                                          state, counters, inflight)
         if ok and on_result is not None:
             on_result(ctx, k, retval, t0, ctx.sim.now)
         elif not ok and on_shed is not None:
@@ -472,6 +491,8 @@ def run_openloop_workload(
     computed over *sojourn* (arrival to completion), with overload
     extras under ``ol.*`` keys and the queue-depth series attached.
     """
+    host_t0 = time.perf_counter()
+    host_ev0 = machine.sim.events_processed
     if not ctxs:
         raise ValueError("run_openloop_workload needs at least one client "
                          "thread (got an empty ctxs sequence)")
@@ -490,6 +511,7 @@ def run_openloop_workload(
     offered_w = {"n": 0}
     counters: Dict[str, int] = {"timeouts": 0, "retries": 0,
                                 "retry_shed": 0, "breaker_trips": 0}
+    inflight = [0]                     # ops inside a dispatch right now
     # per-slice SLO accounting (completions, violations, max depth seen)
     slice_completions = [0] * _SLO_SLICES
     slice_violations = [0] * _SLO_SLICES
@@ -532,7 +554,8 @@ def run_openloop_workload(
             ok, _retval = yield from _dispatch(ctx, prim, opcode,
                                                arg_of(ctx, k) if arg_of
                                                else NULL_ARG,
-                                               adm, state, counters)
+                                               adm, state, counters,
+                                               inflight)
             t_done = sim.now
             if obs is not None:
                 obs.emit("op.end", core=ctx.core.cid, tid=ctx.tid,
@@ -548,7 +571,7 @@ def run_openloop_workload(
                     slice_violations[s] += 1
 
     def _depth() -> int:
-        return sum(len(q) for q in queues) + prim.inflight
+        return sum(len(q) for q in queues) + inflight[0]
 
     def depth_sampler() -> Generator:
         while True:
@@ -661,5 +684,10 @@ def run_openloop_workload(
             stats.get("duplicates_suppressed", 0))
         result.failovers = int(stats.get("failovers", 0))
         result.takeovers = int(stats.get("takeovers", 0))
+
+    # host-perf provenance, as in run_workload (never feeds back into
+    # simulated results)
+    result.host_wall_seconds = time.perf_counter() - host_t0
+    result.host_events_processed = machine.sim.events_processed - host_ev0
 
     return result

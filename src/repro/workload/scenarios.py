@@ -145,9 +145,7 @@ def run_counter_benchmark(
         FaultInjector(machine, fault_plan).install()
 
     def make_op(ctx: ThreadCtx):
-        def op(k: int):
-            yield from counter.increment(ctx)
-        return op
+        return lambda k: counter.increment(ctx)
 
     return run_workload(machine, ctxs, make_op, spec, name=approach, prim=prim)
 
@@ -189,9 +187,7 @@ def run_fault_recovery_benchmark(
         FaultInjector(machine, fault_plan).install()
 
     def make_op(ctx: ThreadCtx):
-        def op(k: int):
-            yield from counter.increment(ctx)
-        return op
+        return lambda k: counter.increment(ctx)
 
     name = "mp-server-ft" + ("-faulty" if fault_plan else "")
     return run_workload(machine, ctxs, make_op, spec, name=name, prim=prim)
@@ -216,9 +212,7 @@ def run_cs_length_benchmark(
     ctxs = [machine.thread(tid) for tid in tids]
 
     def make_op(ctx: ThreadCtx):
-        def op(k: int):
-            yield from arr.run(ctx, cs_iterations)
-        return op
+        return lambda k: arr.run(ctx, cs_iterations)
 
     result = run_workload(machine, ctxs, make_op, spec, name=approach, prim=prim)
     result.extra["cs_iterations"] = cs_iterations

@@ -283,6 +283,11 @@ def _unclaimed_shm(n_clients=1):
 
 
 def test_dispatch_timeout_is_side_effect_free_and_restores_inflight():
+    """A timed dispatch withdraws only after its full deadline and
+    executes nothing; the open-loop driver, which owns the in-flight
+    gauge, holds it up while the dispatch waits and restores it to 0
+    once the timeout unwinds."""
+    # the primitive alone: the deadline is honoured in full
     m, prim, ctr, (ctx,) = _unclaimed_shm()
 
     def client(c):
@@ -295,7 +300,30 @@ def test_dispatch_timeout_is_side_effect_free_and_restores_inflight():
     m.run()
     assert p.result == ("timeout", True)
     assert ctr.value() == 0
-    assert prim.inflight == 0
+
+    # through the driver: the gauge is up mid-dispatch, 0 afterwards
+    m, prim, ctr, (ctx,) = _unclaimed_shm()
+    adm = AdmissionSpec(policy="retry", capacity=1,
+                        dispatch_timeout_cycles=400, max_retries=0)
+    q = AdmissionQueue(m, ctx.tid, adm.capacity)
+    q.offer(0)
+    q.close()
+    inflight, shed, gauge = [0], [], []
+
+    def probe():
+        yield 200                   # mid-dispatch
+        gauge.append(inflight[0])
+
+    p = m.spawn(ctx, bounded_worker(ctx, q, prim, ctr._op_inc, adm,
+                                    on_shed=lambda c, k: shed.append(k),
+                                    inflight=inflight))
+    m.sim.spawn(probe(), name="probe")
+    m.run()
+    assert not p.alive
+    assert shed == [0]              # the one attempt timed out
+    assert gauge == [1]
+    assert inflight == [0]
+    assert ctr.value() == 0
 
 
 def test_retry_policy_exhausts_and_sheds_with_backoff():
@@ -339,7 +367,7 @@ def test_circuit_breaker_trips_and_half_open_reprobe_retrips():
             if item is None:
                 return
             ok, _ = yield from _dispatch(c, prim, ctr._op_inc, 0, adm,
-                                         state, counters)
+                                         state, counters, [0])
             if not ok:
                 shed.append(item[0])
 
@@ -473,6 +501,9 @@ def test_unbounded_past_capacity_diverges_bounded_stays_flat():
 
     # bounded: sheds the excess, keeps the queue and the SLO
     assert rd.extra["ol.qdepth_max"] <= 4 * 8 + 16   # n*capacity + inflight
+    # exact peak, queued plus in-flight: pinned across the move of the
+    # in-flight gauge from the primitives into the open-loop driver
+    assert rd.extra["ol.qdepth_max"] == 35.0
     assert rd.shed_ops > 0
     assert rd.time_in_slo == 1.0
     assert ru.time_in_slo < 0.5
@@ -481,6 +512,19 @@ def test_unbounded_past_capacity_diverges_bounded_stays_flat():
     # the unbounded service rate even though offered load far exceeds it
     assert rd.goodput_mops >= 0.8 * ru.goodput_mops
     assert rd.offered_mops > 1.5 * rd.goodput_mops
+
+
+def test_openloop_driver_reports_host_perf():
+    m, prim, ctr, ctxs = _mp_counter(2)
+    spec = OpenLoopSpec(
+        arrivals=ArrivalSpec(process="deterministic", mean_gap_cycles=200.0),
+        admission=AdmissionSpec(policy="unbounded"),
+        warmup_cycles=2_000, measure_cycles=10_000, seed=1)
+    ev0 = m.sim.events_processed
+    r = run_openloop_workload(m, ctxs, prim, ctr._op_inc, spec)
+    assert r.host_events_processed == m.sim.events_processed - ev0 > 0
+    assert r.host_wall_seconds > 0
+    assert r.host_events_per_sec > 0
 
 
 def test_openloop_driver_exactly_once_accounting():
