@@ -209,16 +209,18 @@ class ThreadCtx:
         return self.mem.spin_until(self.core, addr, pred)
 
     # -- hardware message passing -------------------------------------------
+    # ``self.udn or self._udn()``: the fabric when there is one, else the
+    # profile's error -- no extra call on the message path
     def send(self, dst_tid: int, words: Sequence[int],
              timeout: Optional[int] = None) -> Generator[Any, Any, None]:
-        return self._udn().send(self.core, dst_tid, words, timeout=timeout)
+        return (self.udn or self._udn()).send(self.core, dst_tid, words, timeout)
 
     def receive(self, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:
-        return self._udn().receive(self.core, self.tid, k, timeout=timeout)
+        return (self.udn or self._udn()).receive(self.core, self.tid, k, timeout)
 
     def is_queue_empty(self) -> Generator[Any, Any, bool]:
-        return self._udn().is_queue_empty(self.core, self.tid)
+        return (self.udn or self._udn()).is_queue_empty(self.core, self.tid)
 
     def _udn(self) -> UdnFabric:
         if self.udn is None:

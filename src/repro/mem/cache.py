@@ -391,9 +391,10 @@ class CoherentMemory:
             if self._sb_line.get(cid) == line_no:
                 # merge into the draining entry (its transaction will
                 # publish this value's visibility when it completes)
-                core.busy += self.cfg.c_hit
-                yield self.cfg.c_hit
-                self.store_backing.write(addr, value)
+                c = self._c_hit
+                core.busy += c
+                yield c
+                self._words[addr] = value & WORD_MASK
                 return
             # buffer full with another line: wait for the drain, then
             # re-check -- an oversubscribed sibling thread sharing this
@@ -402,9 +403,10 @@ class CoherentMemory:
             yield pending
             self._charge_stall_mem(core, self.sim.now - t0, line_no, "store_buffer")
         core.rmr += 1
-        core.busy += self.cfg.c_hit
-        yield self.cfg.c_hit
-        self.store_backing.write(addr, value)
+        c = self._c_hit
+        core.busy += c
+        yield c
+        self._words[addr] = value & WORD_MASK
         done = Event(self.sim)
         self._sb_line[cid] = line_no
         self._sb_event[cid] = done
@@ -491,7 +493,7 @@ class CoherentMemory:
         while not pred(value):
             entry = self._line(self.line_of(addr))
             t0 = self.sim.now
-            yield from entry.wait_cond(self.sim).wait()
+            yield entry.wait_cond(self.sim).wait()
             core.wait += self.sim.now - t0
             value = yield from self.load(core, addr)
         return value

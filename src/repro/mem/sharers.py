@@ -18,19 +18,21 @@ operations (``add``, ``clear``, membership, :meth:`others`,
 * **bitmap mode** -- an arbitrary-precision int used as a bitmask once
   the line is widely shared; O(1) add/membership, one bit per sharing
   core rather than a hash-table slot;
-* **corner aggregates** -- the Manhattan distance on a mesh decomposes
-  as ``|hx-sx| + |hy-sy| = max(u_h-u_s, u_s-u_h, v_h-v_s, v_s-v_h)``
-  with ``u = x+y`` and ``v = x-y``, so the farthest sharer from any
-  home node needs only the four extremes ``min/max u`` and ``min/max
-  v`` over the sharers.  Each extreme tracks its best *two* (value,
-  cid) entries, so excluding the requesting core from the max (the
-  ``s != cid`` filter in the store-invalidation latency) stays O(1)
-  too.
+* **corner aggregates** (bitmap mode only) -- the Manhattan distance
+  on a mesh decomposes as ``|hx-sx| + |hy-sy| = max(u_h-u_s, u_s-u_h,
+  v_h-v_s, v_s-v_h)`` with ``u = x+y`` and ``v = x-y``, so the farthest
+  sharer from any home node needs only the four extremes ``min/max u``
+  and ``min/max v`` over the sharers.  Each extreme tracks its best
+  *two* (value, cid) entries, so excluding the requesting core from the
+  max (the ``s != cid`` filter in the store-invalidation latency) stays
+  O(1) too.
 
-``add``/``clear`` maintain the aggregates incrementally.  ``discard``
-(only used by tests and future protocol extensions -- the coherence hot
-path never removes a single sharer) marks the aggregates dirty and the
-next geometry query rebuilds them in one O(sharers) pass.
+Few mode keeps no aggregates: :meth:`farthest_hop` scans its at most
+:data:`FEW_MAX` members (hops = ``max(|du|, |dv|)``).  Converting to
+bitmap mode builds them once; ``add`` then maintains them, ``clear``
+(back to few mode) drops them, and ``discard`` (tests and future
+protocol extensions only) invalidates them for the next query to
+rebuild in one O(sharers) pass.
 
 Iteration yields core ids in ascending order in both modes, making
 runs on the sparse directory deterministic without depending on hash
@@ -39,7 +41,7 @@ ordering.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["ENTRY_BASE_BYTES", "FEW_MAX", "MeshGeometry", "SparseSharerSet"]
 
@@ -113,19 +115,17 @@ class _Top2:
 class SparseSharerSet:
     """The sharer set of one directory entry (see module docstring)."""
 
-    __slots__ = ("_geo", "_few", "_bits", "_n",
-                 "_max_u", "_min_u", "_max_v", "_min_v", "_dirty")
+    __slots__ = ("_geo", "_few", "_bits", "_n", "_agg")
 
     def __init__(self, geo: MeshGeometry):
         self._geo = geo
         self._few: Optional[List[int]] = []   # None once in bitmap mode
         self._bits = 0
         self._n = 0
-        self._max_u = _Top2(+1)
-        self._min_u = _Top2(-1)
-        self._max_v = _Top2(+1)
-        self._min_v = _Top2(-1)
-        self._dirty = False
+        #: bitmap mode's (max u, min u, max v, min v) corner aggregates;
+        #: None in few mode, and in bitmap mode until the next query
+        #: after a discard invalidated them
+        self._agg: Optional[Tuple[_Top2, _Top2, _Top2, _Top2]] = None
 
     # -- set protocol ------------------------------------------------------
     def __len__(self) -> int:
@@ -171,77 +171,73 @@ class SparseSharerSet:
         if few is not None:
             if cid in few:
                 return
+            self._n += 1
             if len(few) < FEW_MAX:
                 # insertion sort step: few is tiny and stays sorted
                 i = len(few)
                 while i > 0 and few[i - 1] > cid:
                     i -= 1
                 few.insert(i, cid)
-            else:
-                bits = 0
-                for m in few:
-                    bits |= 1 << m
-                self._bits = bits | (1 << cid)
-                self._few = None
-        else:
-            bit = 1 << cid
-            if self._bits & bit:
                 return
-            self._bits |= bit
+            bits = 1 << cid
+            for m in few:
+                bits |= 1 << m
+            self._bits = bits
+            self._few = None
+            self._agg = self._aggregates()  # maintained from here on
+            return
+        bit = 1 << cid
+        if self._bits & bit:
+            return
+        self._bits |= bit
         self._n += 1
-        if not self._dirty:
+        agg = self._agg
+        if agg is not None:
             geo = self._geo
             u, v = geo.core_u[cid], geo.core_v[cid]
-            self._max_u.add(u, cid)
-            self._min_u.add(u, cid)
-            self._max_v.add(v, cid)
-            self._min_v.add(v, cid)
+            agg[0].add(u, cid)
+            agg[1].add(u, cid)
+            agg[2].add(v, cid)
+            agg[3].add(v, cid)
 
     def discard(self, cid: int) -> None:
         few = self._few
         if few is not None:
-            if cid not in few:
-                return
-            few.remove(cid)
-        else:
-            bit = 1 << cid
-            if not self._bits & bit:
-                return
-            self._bits ^= bit
+            if cid in few:
+                few.remove(cid)
+                self._n -= 1
+            return
+        bit = 1 << cid
+        if not self._bits & bit:
+            return
+        self._bits ^= bit
         self._n -= 1
-        if self._n == 0:
-            self._reset_aggregates()
-        elif not self._dirty and (
-            self._max_u.involves(cid) or self._min_u.involves(cid)
-            or self._max_v.involves(cid) or self._min_v.involves(cid)
-        ):
-            self._dirty = True
+        agg = self._agg
+        if agg is not None and any(t.involves(cid) for t in agg):
+            self._agg = None  # rebuilt by the next query
 
     def clear(self) -> None:
-        if self._few is None:
-            self._few = []
+        few = self._few
+        if few is not None:
+            few.clear()
         else:
-            self._few.clear()
-        self._bits = 0
+            # back to few mode: the aggregates go with the bitmap
+            self._few = []
+            self._bits = 0
+            self._agg = None
         self._n = 0
-        self._reset_aggregates()
 
-    def _reset_aggregates(self) -> None:
-        self._max_u = _Top2(+1)
-        self._min_u = _Top2(-1)
-        self._max_v = _Top2(+1)
-        self._min_v = _Top2(-1)
-        self._dirty = False
-
-    def _rebuild(self) -> None:
-        self._reset_aggregates()
+    def _aggregates(self) -> Tuple[_Top2, _Top2, _Top2, _Top2]:
+        """The corner aggregates of the current members, in one pass."""
+        max_u, min_u, max_v, min_v = agg = (_Top2(+1), _Top2(-1), _Top2(+1), _Top2(-1))
         geo = self._geo
         for cid in self:
             u, v = geo.core_u[cid], geo.core_v[cid]
-            self._max_u.add(u, cid)
-            self._min_u.add(u, cid)
-            self._max_v.add(v, cid)
-            self._min_v.add(v, cid)
+            max_u.add(u, cid)
+            min_u.add(u, cid)
+            max_v.add(v, cid)
+            min_v.add(v, cid)
+        return agg
 
     # -- O(1) queries used by the coherence hot path -----------------------
     def others(self, cid: int) -> bool:
@@ -261,30 +257,42 @@ class SparseSharerSet:
         The caller guarantees a qualifying member exists (checked via
         :meth:`others`).
         """
-        if self._dirty:
-            self._rebuild()
         geo = self._geo
         hu = geo.node_u[home_node]
         hv = geo.node_v[home_node]
-        best = None
-        mu = self._max_u.value_excluding(exclude)
-        if mu is not None:
-            best = mu - hu
-        mu = self._min_u.value_excluding(exclude)
-        if mu is not None:
-            d = hu - mu
-            if best is None or d > best:
-                best = d
-        mv = self._max_v.value_excluding(exclude)
-        if mv is not None:
-            d = mv - hv
-            if best is None or d > best:
-                best = d
-        mv = self._min_v.value_excluding(exclude)
-        if mv is not None:
-            d = hv - mv
-            if best is None or d > best:
-                best = d
+        best: Optional[int] = None
+        few = self._few
+        if few is not None:
+            # at most FEW_MAX members: hops = max(|du|, |dv|) per member
+            for cid in few:
+                if cid != exclude:
+                    du = geo.core_u[cid] - hu
+                    dv = geo.core_v[cid] - hv
+                    d = max(du, -du, dv, -dv)
+                    if best is None or d > best:
+                        best = d
+        else:
+            agg = self._agg
+            if agg is None:
+                agg = self._agg = self._aggregates()
+            mu = agg[0].value_excluding(exclude)
+            if mu is not None:
+                best = mu - hu
+            mu = agg[1].value_excluding(exclude)
+            if mu is not None:
+                d = hu - mu
+                if best is None or d > best:
+                    best = d
+            mv = agg[2].value_excluding(exclude)
+            if mv is not None:
+                d = mv - hv
+                if best is None or d > best:
+                    best = d
+            mv = agg[3].value_excluding(exclude)
+            if mv is not None:
+                d = hv - mv
+                if best is None or d > best:
+                    best = d
         if best is None:
             raise ValueError("farthest_hop on an empty (post-exclusion) set")
         return best

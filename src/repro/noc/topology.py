@@ -74,7 +74,17 @@ class Mesh:
         """Analytic in-flight latency (cycles) for a ``words``-word packet."""
         if words < 1:
             raise ValueError("packet must carry at least one word")
-        return self.base + self.per_hop * self.hops(src, dst) + self.per_word * (words - 1)
+        # hops() inlined (same validation): one call per UDN message
+        if src < 0 or dst < 0:
+            raise ValueError(f"node ids must be non-negative: {src}, {dst}")
+        try:
+            x, y = self._x, self._y
+            hops = abs(x[src] - x[dst]) + abs(y[src] - y[dst])
+        except IndexError:
+            self._check(src)
+            self._check(dst)
+            raise
+        return self.base + self.per_hop * hops + self.per_word * (words - 1)
 
     def route(self, src: int, dst: int) -> List[int]:
         """XY route as the list of nodes visited, inclusive of endpoints."""

@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 import operator
 from typing import (Any, Callable, ClassVar, Dict, Generator, List,
-                    Optional, Set)
+                    Optional, Set, Tuple)
 
 __all__ = [
     "DeadlockError",
@@ -407,9 +407,11 @@ class Process:
 class _Callback:
     """Scheduler entry for a plain callback (``call_at``/``call_after``).
 
-    Model-internal machinery (store-buffer drains, link releases, timer
-    watchdogs): always live, always counted, pinned in place under
-    schedule exploration -- exactly the old ``_CALLBACK`` kind.
+    Model-internal machinery (UDN deliveries, store-buffer drains, link
+    releases, timer watchdogs): always live, always counted, pinned in
+    place under schedule exploration -- exactly the old ``_CALLBACK``
+    kind.  The callback's arguments ride in ``args``, so a caller needs
+    no closure per scheduled call.
     """
 
     pinned: ClassVar[bool] = True
@@ -417,16 +419,18 @@ class _Callback:
     _slow: ClassVar[bool] = False
     _val: ClassVar[None] = None
 
-    __slots__ = ("sim", "fn")
+    __slots__ = ("sim", "fn", "args")
 
-    def __init__(self, sim: "Simulator", fn: Callable[[], None]):
+    def __init__(self, sim: "Simulator", fn: Callable[..., None],
+                 args: Tuple[Any, ...]):
         self.sim = sim
         self.fn = fn
+        self.args = args
 
     def _send(self, _val: Any) -> Any:
         # callbacks run between process steps: no current process
         self.sim._current = None
-        self.fn()
+        self.fn(*self.args)
         return _HANDLED
 
 
@@ -566,20 +570,26 @@ class Simulator:
         """Create a fresh (un-triggered) event bound to this simulator."""
         return Event(self, label)
 
-    def call_at(self, when: int, fn: Callable[[], None]) -> None:
-        """Run plain callback ``fn`` at absolute cycle ``when`` (>= now)."""
+    def call_at(self, when: int, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute cycle ``when`` (>= now)."""
         now = self.now
         if when < now:
             raise ValueError(f"cannot schedule in the past ({when} < {now})")
-        cb = _Callback(self, fn)
+        cb = _Callback(self, fn, args)
         if when == now:
             self._fast.append(cb)
+            return
+        # _bucket_push inlined: this is the per-message delivery path
+        b = self._buckets.get(when)
+        if b is None:
+            self._buckets[when] = [cb]
+            heapq.heappush(self._heap, when)
         else:
-            self._bucket_push(when, cb)
+            b.append(cb)
 
-    def call_after(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run plain callback ``fn`` after ``delay`` cycles."""
-        self.call_at(self.now + delay, fn)
+    def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` cycles."""
+        self.call_at(self.now + delay, fn, *args)
 
     def set_sample_hook(self, every: int, fn: Callable[[int], None]) -> None:
         """Call ``fn(cycle)`` whenever the clock crosses an ``every``-cycle

@@ -131,7 +131,7 @@ class Resource:
 class Condition:
     """A re-armable broadcast notification (no stored value, no memory).
 
-    ``wait()`` blocks until the *next* ``notify_all()``.  Unlike
+    ``yield cond.wait()`` blocks until the *next* ``notify_all()``.  Unlike
     :class:`~repro.sim.engine.Event`, a condition can be signalled many
     times; each signal wakes exactly the processes waiting at that
     moment.  This models invalidation wakeups for spinning cores.
@@ -149,10 +149,11 @@ class Condition:
     def num_waiters(self) -> int:
         return len(self._waiters)
 
-    def wait(self) -> Generator[Any, Any, None]:
+    def wait(self) -> Event:
+        """The event of the next ``notify_all()`` (``yield cond.wait()``)."""
         ev = Event(self.sim, label=self.label)
         self._waiters.append(ev)
-        yield ev
+        return ev
 
     def notify_all(self) -> None:
         waiters, self._waiters = self._waiters, []

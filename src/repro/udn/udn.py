@@ -87,10 +87,16 @@ class _CoreBuffer:
         # each entry: [event, words_needed, granted?]
         self._waiters: Deque[list] = deque()
 
-    def reserve(self, n: int) -> Generator[Any, Any, None]:
-        """Acquire ``n`` words of buffer space, FIFO among blocked senders."""
+    def try_take(self, n: int) -> bool:
+        """Take ``n`` words at once if no sender is queued and they fit."""
         if not self._waiters and self.free_words >= n:
             self.free_words -= n
+            return True
+        return False
+
+    def reserve(self, n: int) -> Generator[Any, Any, None]:
+        """Acquire ``n`` words of buffer space, FIFO among blocked senders."""
+        if self.try_take(n):
             return
         entry = [Event(self.sim, label=self.label), n, False]
         self._waiters.append(entry)
@@ -148,8 +154,11 @@ class UdnFabric:
             ]
             for c in cores
         ]
-        # thread id -> (core id, demux queue index)
-        self._endpoints: Dict[int, Tuple[int, int]] = {}
+        #: route table: thread id -> (core id, demux queue index, its
+        #: queue, its core's buffer), resolved once per operation
+        self._routes: Dict[int, Tuple[int, int, _Queue, _CoreBuffer]] = {}
+        #: (core id, demux queue index) -> registered thread id
+        self._owners: Dict[Tuple[int, int], int] = {}
         #: monotonically increasing message id (tags ``udn.send`` /
         #: ``udn.deliver`` events so the causal tracer can match a send to
         #: its delivery -- pure observability, never read by protocols)
@@ -208,30 +217,36 @@ class UdnFabric:
             raise ValueError(f"no core {core_id}")
         if not (0 <= demux < self.cfg.udn_demux_queues):
             raise ValueError(f"demux queue {demux} out of range")
-        for other_tid, (c, d) in self._endpoints.items():
-            if other_tid != tid and (c, d) == (core_id, demux):
-                raise ValueError(f"queue ({core_id},{demux}) already registered to thread {other_tid}")
-        self._endpoints[tid] = (core_id, demux)
+        other_tid = self._owners.get((core_id, demux))
+        if other_tid is not None and other_tid != tid:
+            raise ValueError(f"queue ({core_id},{demux}) already registered to thread {other_tid}")
+        old = self._routes.get(tid)
+        if old is not None:
+            del self._owners[old[0], old[1]]
+        self._owners[core_id, demux] = tid
+        self._routes[tid] = (core_id, demux, self._queues[core_id][demux],
+                             self._buffers[core_id])
 
     def unregister(self, tid: int) -> None:
-        q = self._queue_of(tid)
+        core_id, demux, q, _ = self._route(tid)
         if q.words:
             raise RuntimeError(f"thread {tid} unregistering with {len(q.words)} words pending")
-        del self._endpoints[tid]
+        del self._routes[tid]
+        del self._owners[core_id, demux]
 
     def endpoint(self, tid: int) -> Tuple[int, int]:
+        r = self._route(tid)
+        return r[0], r[1]
+
+    def _route(self, tid: int) -> Tuple[int, int, _Queue, _CoreBuffer]:
         try:
-            return self._endpoints[tid]
+            return self._routes[tid]
         except KeyError:
             raise KeyError(f"thread {tid} is not registered with the UDN") from None
 
-    def _queue_of(self, tid: int) -> _Queue:
-        core_id, demux = self.endpoint(tid)
-        return self._queues[core_id][demux]
-
     def queue_depth(self, tid: int) -> int:
         """Words currently queued for ``tid`` (test/debug hook)."""
-        return len(self._queue_of(tid).words)
+        return len(self._route(tid)[2].words)
 
     # -- operations ----------------------------------------------------------
     def send(self, core: Core, dst_tid: int, words: Sequence[int],
@@ -248,29 +263,30 @@ class UdnFabric:
             raise ValueError("empty message")
         n = len(words)
         cfg = self.cfg
-        dst_core_id, demux = self.endpoint(dst_tid)
+        sim = self.sim
+        dst_core_id, demux, _, buf = self._routes.get(dst_tid) or self._route(dst_tid)
         if n > cfg.udn_buffer_words:
             raise ValueError(
                 f"{n}-word message can never fit a {cfg.udn_buffer_words}-word buffer (deadlock)"
             )
-        buf = self._buffers[dst_core_id]
         # Reserve space; block while the buffer is full (messages back up
         # into the network and stall the sender).  FIFO among senders.
-        t0 = self.sim.now
+        t0 = sim.now
         if timeout is None:
-            yield from buf.reserve(n)
+            if not buf.try_take(n):
+                yield from buf.reserve(n)
         else:
             if timeout < 1:
                 raise ValueError("timeout must be >= 1 cycle")
-            timer = WaitTimer(self.sim, self.sim.current, self.sim.now + timeout)
+            timer = WaitTimer(sim, sim.current, sim.now + timeout)
             try:
                 yield from buf.reserve(n)
             except Interrupt as exc:
                 if exc.cause is timer:
-                    waited = self.sim.now - t0
+                    waited = sim.now - t0
                     core.wait += waited
                     self.backpressure_by_core[core.cid] += waited
-                    obs = self.sim.obs
+                    obs = sim.obs
                     if obs is not None:
                         obs.emit("udn.timeout", core=core.cid, op="send",
                                  waited=waited)
@@ -281,7 +297,7 @@ class UdnFabric:
                 raise
             finally:
                 timer.disarm()
-        blocked = self.sim.now - t0
+        blocked = sim.now - t0
         if blocked:
             core.wait += blocked
             self.backpressure_by_core[core.cid] += blocked
@@ -295,7 +311,7 @@ class UdnFabric:
             else:
                 e[0] += 1
                 e[1] += n
-        obs = self.sim.obs
+        obs = sim.obs
         if obs is not None:
             if blocked:
                 obs.emit("udn.backpressure", core=core.cid, cycles=blocked,
@@ -307,19 +323,20 @@ class UdnFabric:
         core.msgs_sent += 1
         yield inject
 
-        payload = [w for w in words]
-        sent_at = self.sim.now
+        payload = list(words)
+        sent_at = sim.now
         if self.contended is not None:
-            self.sim.spawn(
+            sim.spawn(
                 self._contended_delivery(core.node, dst_core_id, demux, payload,
                                          sent_at, msg_id),
                 name=f"udn-pkt->{dst_tid}",
             )
         else:
-            transit = self.mesh.latency(core.node, self.cores[dst_core_id].node, n)
+            dst_node = self.cores[dst_core_id].node
+            transit = self.mesh.latency(core.node, dst_node, n)
             if self.transit_jitter is not None:
-                transit += int(self.transit_jitter(core.node, self.cores[dst_core_id].node, n))
-            policy = self.sim.policy
+                transit += int(self.transit_jitter(core.node, dst_node, n))
+            policy = sim.policy
             if policy is not None:
                 # exploration seam: the policy may stretch this message's
                 # transit, reordering deliveries *across* streams while the
@@ -334,8 +351,8 @@ class UdnFabric:
                     arrive = prev
                 self._policy_last_arrival[key] = arrive
                 transit = arrive - sent_at
-            self.sim.call_after(
-                transit, lambda: self._deliver(dst_core_id, demux, payload, sent_at, msg_id))
+            sim.call_at(sent_at + transit, self._deliver, dst_core_id, demux,
+                        payload, sent_at, msg_id)
 
     def _contended_delivery(self, src_node: int, dst_core_id: int, demux: int,
                             payload: List[int], sent_at: int,
@@ -372,7 +389,9 @@ class UdnFabric:
                      latency=self.sim.now - (sent_at if sent_at is not None
                                              else self.sim.now),
                      msg_id=msg_id)
-        q.arrival_cond.notify_all()
+        cond = q.arrival_cond
+        if cond._waiters:  # wake only a receiver parked on this queue
+            cond.notify_all()
 
     def receive(self, core: Core, tid: int, k: int = 1,
                 timeout: Optional[int] = None) -> Generator[Any, Any, List[int]]:
@@ -387,18 +406,18 @@ class UdnFabric:
         """
         if k < 1:
             raise ValueError("must receive at least one word")
-        q = self._queue_of(tid)
+        _, _, q, buf = self._routes.get(tid) or self._route(tid)
         t0 = self.sim.now
         if timeout is None:
             while len(q.words) < k:
-                yield from q.arrival_cond.wait()
+                yield q.arrival_cond.wait()
         else:
             if timeout < 1:
                 raise ValueError("timeout must be >= 1 cycle")
             timer = WaitTimer(self.sim, self.sim.current, self.sim.now + timeout)
             try:
                 while len(q.words) < k:
-                    yield from q.arrival_cond.wait()
+                    yield q.arrival_cond.wait()
             except Interrupt as exc:
                 if exc.cause is timer:
                     waited = self.sim.now - t0
@@ -428,8 +447,7 @@ class UdnFabric:
         out = [q.words.popleft() for _ in range(k)]
         # space frees at the *core buffer* of the receiving endpoint and is
         # handed to blocked senders in FIFO order
-        core_id, _ = self.endpoint(tid)
-        self._buffers[core_id].release(k)
+        buf.release(k)
         return out
 
     def is_queue_empty(self, core: Core, tid: int) -> Generator[Any, Any, bool]:
@@ -437,4 +455,4 @@ class UdnFabric:
         cost = self.cfg.udn_probe_cost
         core.busy += cost
         yield cost
-        return not self._queue_of(tid).words
+        return not (self._routes.get(tid) or self._route(tid))[2].words

@@ -303,7 +303,7 @@ class AdmissionQueue:
                 return self.items.popleft()
             if self.closed:
                 return None
-            yield from self._cond.wait()
+            yield self._cond.wait()
 
     def close(self) -> None:
         """No further arrivals; wakes workers so they can drain and exit."""

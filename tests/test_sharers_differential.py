@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.machine import Machine, mesh_profile, tile_gx
 from repro.mem.sharers import FEW_MAX, MeshGeometry, SparseSharerSet
+from repro.noc.topology import Mesh
 
 # -- structure-level reference model ---------------------------------------
 
@@ -141,6 +142,71 @@ def test_bitmap_conversion_is_invisible(members, home, exclude):
         if ref.others(exclude):
             assert sp.farthest_hop(home, exclude) == \
                 ref.farthest_hop(home, exclude)
+
+
+@st.composite
+def _crossing_trace(draw):
+    """A permuted core->node placement on 6x6 or 16x16 plus op bursts
+    that grow a set past FEW_MAX (few -> bitmap) and clear it back
+    (bitmap -> few), with discards and geometry probes in between."""
+    width, height = draw(st.sampled_from([(6, 6), (16, 16)]))
+    n = width * height
+    placement = draw(st.permutations(range(n)))
+    cids = st.integers(0, n - 1)
+    burst = st.one_of(
+        st.lists(st.tuples(st.just("add"), cids),
+                 min_size=FEW_MAX - 2, max_size=2 * FEW_MAX + 2),
+        st.lists(st.tuples(st.just("discard"), cids), max_size=4),
+        st.lists(st.tuples(st.just("farthest"),
+                           st.tuples(st.integers(0, n - 1),
+                                     st.one_of(st.just(-1), cids))),
+                 min_size=1, max_size=4),
+        st.just([("clear", 0)]),
+    )
+    bursts = draw(st.lists(burst, min_size=1, max_size=12))
+    return width, height, placement, [op for b in bursts for op in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_crossing_trace())
+def test_farthest_hop_and_footprint_across_few_max(trace):
+    """Against the mesh itself: ``farthest_hop`` is the brute-force max of
+    ``Mesh.hops`` over the members' nodes, in few mode (which scans and
+    keeps no aggregates) and bitmap mode alike, and ``nominal_bytes``
+    keeps its footprint formula: 8 bytes per few-mode member or one bit
+    per id up to the highest bitmap member, plus 64 bytes of aggregates
+    in both modes."""
+    width, height, placement, ops = trace
+    mesh = Mesh(width, height)
+    sp = SparseSharerSet(MeshGeometry(width, placement, width * height))
+    members = set()
+    bitmap = False
+    for kind, arg in ops:
+        if kind == "add":
+            sp.add(arg)
+            members.add(arg)
+            bitmap = bitmap or len(members) > FEW_MAX
+        elif kind == "discard":
+            sp.discard(arg)
+            members.discard(arg)
+        elif kind == "clear":
+            sp.clear()
+            members.clear()
+            bitmap = False
+        else:
+            home, exclude = arg
+            others = [placement[c] for c in members if c != exclude]
+            if others:
+                assert sp.farthest_hop(home, exclude) == max(
+                    mesh.hops(home, node) for node in others)
+        assert (sp._few is None) == bitmap
+        if not bitmap:
+            assert sp._agg is None
+            footprint = 8 * len(members)
+        else:
+            footprint = (max(members, default=-1) + 1 + 7) // 8
+        assert sp.nominal_bytes() == footprint + 64
+        assert list(sp) == sorted(members)
 
 
 def test_sharers_long_random_walk():

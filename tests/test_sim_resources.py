@@ -89,7 +89,7 @@ def test_condition_wakes_only_current_waiters():
 
     def waiter(name, delay):
         yield delay
-        yield from cond.wait()
+        yield cond.wait()
         woken.append((name, sim.now))
 
     def notifier():
@@ -112,7 +112,7 @@ def test_condition_is_rearmable():
 
     def waiter():
         for _ in range(3):
-            yield from cond.wait()
+            yield cond.wait()
             count.append(sim.now)
 
     def notifier():

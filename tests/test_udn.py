@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import Machine, tile_gx, x86_like
+from repro.machine import Machine, mesh_profile, tile_gx, x86_like
 
 
 def make_machine(**over):
@@ -263,6 +263,34 @@ def test_demux_queue_collision_rejected():
     m.thread(3, core_id=3, demux=0)
     with pytest.raises(ValueError, match="already registered"):
         m.thread(4, core_id=3, demux=0)
+
+
+def test_duplicate_queue_rejected_by_the_fabric():
+    """The (core, demux) owner map rejects a second thread on a taken
+    queue with the owner named; re-registering a thread moves it and
+    frees its old queue, and unregistering frees the queue too."""
+    udn = make_machine().udn
+    udn.register(3, core_id=3, demux=0)
+    with pytest.raises(ValueError,
+                       match=r"^queue \(3,0\) already registered to thread 3$"):
+        udn.register(4, core_id=3, demux=0)
+    udn.register(3, core_id=3, demux=0)  # idempotent for the owner
+    udn.register(3, core_id=3, demux=1)  # move: (3,0) is free again
+    udn.register(4, core_id=3, demux=0)
+    assert udn.endpoint(3) == (3, 1) and udn.endpoint(4) == (3, 0)
+    udn.unregister(4)
+    with pytest.raises(KeyError, match="not registered"):
+        udn.endpoint(4)
+    udn.register(5, core_id=3, demux=0)
+    assert udn.endpoint(5) == (3, 0)
+
+
+def test_1024_threads_register_on_a_32x32_mesh():
+    m = Machine(mesh_profile(32, 32))
+    ctxs = [m.thread(tid) for tid in range(1024)]
+    assert [m.udn.endpoint(c.tid) for c in ctxs] == [(cid, 0) for cid in range(1024)]
+    with pytest.raises(ValueError, match="already registered to thread 1023"):
+        m.udn.register(2000, core_id=1023, demux=0)
 
 
 def test_x86_profile_has_no_udn():
