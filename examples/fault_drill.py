@@ -31,6 +31,7 @@ from repro.faults import CrashThread, FaultInjector, FaultPlan
 from repro.machine import Machine
 from repro.objects import LockedCounter
 from repro.sim.engine import DeadlockError
+from repro.workload.scenarios import build_approach
 
 NUM_CLIENTS = 4
 OPS_PER_CLIENT = 12
@@ -41,16 +42,15 @@ def main() -> None:
     recovery = "--no-recovery" not in sys.argv
     machine = Machine()
     if recovery:
-        prim = MPServer(machine, OpTable(), server_tid=0, server_core=0,
-                        backup_tid=1, backup_core=1, request_timeout=2_000)
+        prim, tids = build_approach("mp-server-ft", machine, OpTable(),
+                                    NUM_CLIENTS)
     else:
+        # the same placement (clients from tid 2), minus the backup
         prim = MPServer(machine, OpTable(), server_tid=0, server_core=0)
+        tids = range(2, 2 + NUM_CLIENTS)
     counter = LockedCounter(prim)
     prim.start()
-
-    first_client_tid = 2
-    ctxs = [machine.thread(t)
-            for t in range(first_client_tid, first_client_tid + NUM_CLIENTS)]
+    ctxs = [machine.thread(t) for t in tids]
     history = History()
 
     def client(ctx):

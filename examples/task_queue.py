@@ -19,29 +19,16 @@ import sys
 
 import numpy as np
 
-from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
+from repro.core import OpTable
 from repro.machine import Machine, tile_gx
 from repro.objects import EMPTY, OneLockMSQueue
+from repro.workload.scenarios import build_approach
 
 
 def run_pool(approach: str, num_workers: int, task_sizes) -> dict:
     """Dispatch all tasks to the pool; returns makespan statistics."""
     machine = Machine(tile_gx())
-    table = OpTable()
-    if approach == "mp-server":
-        prim = MPServer(machine, table, server_tid=0)
-        tids = range(1, num_workers + 1)
-    elif approach == "shm-server":
-        prim = ShmServer(machine, table, server_tid=0,
-                         client_tids=range(1, num_workers + 1))
-        tids = range(1, num_workers + 1)
-    elif approach == "HybComb":
-        prim = HybComb(machine, table)
-        tids = range(num_workers)
-    else:
-        prim = CCSynch(machine, table)
-        tids = range(num_workers)
-
+    prim, tids = build_approach(approach, machine, OpTable(), num_workers)
     queue = OneLockMSQueue(prim)
     prim.start()
     ctxs = [machine.thread(t) for t in tids]
@@ -71,15 +58,19 @@ def run_pool(approach: str, num_workers: int, task_sizes) -> dict:
 
     feed = machine.spawn(ctxs[0], feeder(), name="feeder")
 
-    def start_workers():
+    def run_pool_to_completion():
         yield from feed.join()
-        for ctx in ctxs:
-            machine.spawn(ctx, worker(ctx), name=f"worker-{ctx.tid}")
+        workers = [machine.spawn(ctx, worker(ctx), name=f"worker-{ctx.tid}")
+                   for ctx in ctxs]
+        for w in workers:
+            yield from w.join()
+        # every worker is out of the queue: stop a polling server so the
+        # simulation drains instead of spinning on to the horizon
+        if hasattr(prim, "stop"):
+            prim.stop()
 
-    machine.sim.spawn(start_workers(), name="starter")
+    machine.sim.spawn(run_pool_to_completion(), name="starter")
     machine.run(until=200_000_000)
-    if hasattr(prim, "stop"):
-        prim.stop()
     assert finished.triggered, f"{approach}: pool did not finish"
     makespan = finished.value
     return {

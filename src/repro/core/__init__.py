@@ -35,16 +35,7 @@ from repro.core.locks import MCSLock, TicketLock, TTASLock
 from repro.core.mp_server import MPServer
 from repro.core.shm_server import ShmServer
 
-#: the four approaches of the evaluation, in the paper's legend order
-ALL_APPROACHES = {
-    "mp-server": MPServer,
-    "HybComb": HybComb,
-    "shm-server": ShmServer,
-    "CC-Synch": CCSynch,
-}
-
 __all__ = [
-    "ALL_APPROACHES",
     "CCSynch",
     "FlatCombining",
     "HybComb",

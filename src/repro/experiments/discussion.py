@@ -28,7 +28,7 @@ from repro.machine import Machine, tile_gx, x86_like
 from repro.objects import LockedCounter
 from repro.workload.driver import WorkloadSpec, run_workload
 from repro.workload.metrics import RunResult
-from repro.workload.scenarios import run_counter_benchmark
+from repro.workload.scenarios import build_approach, num_servers, run_counter_benchmark
 
 __all__ = [
     "run_x86_comparison",
@@ -59,9 +59,7 @@ def run_x86_comparison(quick: bool = True,
     pts = []
     for approach in ("shm-server", "CC-Synch"):
         for t in threads:
-            if approach == "shm-server" and t > x86.num_cores - 1:
-                continue
-            if t > x86.num_cores:
+            if t + num_servers(approach) > x86.num_cores:
                 continue
             pts.append(point(f"{approach} (x86)", t, run_counter_benchmark,
                              approach, t, spec=spec, cfg=x86_like()))
@@ -119,11 +117,10 @@ def _backpressure_point(clients: int, buffer_words: int,
                         spec: WorkloadSpec) -> RunResult:
     """One backpressure point (module-level: must ship to workers)."""
     machine = Machine(tile_gx(udn_buffer_words=buffer_words))
-    table = OpTable()
-    prim = MPServer(machine, table, server_tid=0)
+    prim, tids = build_approach("mp-server", machine, OpTable(), clients)
     counter = LockedCounter(prim)
     prim.start()
-    ctxs = [machine.thread(t) for t in range(1, clients + 1)]
+    ctxs = [machine.thread(t) for t in tids]
 
     def make_op(ctx):
         return lambda k: counter.increment(ctx)

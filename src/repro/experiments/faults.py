@@ -25,12 +25,9 @@ from repro.analysis.series import FigureData
 from repro.experiments.parallel import point, run_sweep
 from repro.faults import CrashThread, FaultPlan
 from repro.workload.driver import WorkloadSpec
-from repro.workload.scenarios import run_fault_recovery_benchmark
+from repro.workload.scenarios import APPROACH_TABLE, run_fault_recovery_benchmark
 
 __all__ = ["run_fault_recovery"]
-
-#: client-side request timeout (cycles) used for both series
-REQUEST_TIMEOUT = 2_000
 
 
 def run_fault_recovery(quick: bool = True,
@@ -51,14 +48,14 @@ def run_fault_recovery(quick: bool = True,
     pts = []
     for t in clients:
         pts.append(point("ft, fault-free", t, run_fault_recovery_benchmark,
-                         t, spec=spec, request_timeout=REQUEST_TIMEOUT))
+                         t, spec=spec))
         pts.append(point("ft, primary crash", t, run_fault_recovery_benchmark,
-                         t, spec=spec, request_timeout=REQUEST_TIMEOUT,
-                         fault_plan=plan))
+                         t, spec=spec, fault_plan=plan))
     for p, r in zip(pts, run_sweep(pts, jobs=jobs, name="disc-faults")):
         fig.add_point(p.label, p.x, r)
+    timeout = APPROACH_TABLE["mp-server-ft"].kwargs["request_timeout"]
     fig.note(f"primary server killed at cycle {crash_at} "
-             f"(request timeout {REQUEST_TIMEOUT} cycles, backup on core 1)")
+             f"(request timeout {timeout} cycles, backup on core 1)")
     fig.note("crash series: every client fails over; time-to-recovery and "
              "retry counts are in the per-point RunResult")
     return fig

@@ -13,8 +13,13 @@ from typing import Optional, Sequence, Tuple
 
 from repro.analysis.series import FigureData
 from repro.experiments.parallel import point, run_sweep
+from repro.machine import tile_gx
 from repro.workload.driver import WorkloadSpec
-from repro.workload.scenarios import APPROACH_BUILDERS, run_counter_benchmark
+from repro.workload.scenarios import (
+    APPROACH_BUILDERS,
+    num_servers,
+    run_counter_benchmark,
+)
 
 __all__ = ["run_fig3a_3b", "run_fig3a", "run_fig3b", "run_fig3c",
            "QUICK_THREADS", "FULL_THREADS"]
@@ -30,11 +35,6 @@ def _spec(quick: bool) -> WorkloadSpec:
     return WorkloadSpec.quick() if quick else WorkloadSpec.full()
 
 
-def _max_threads(approach: str) -> int:
-    # a server occupies one of the 36 cores
-    return 35 if approach in ("mp-server", "shm-server") else 36
-
-
 def run_fig3a_3b(quick: bool = True,
                  threads: Optional[Sequence[int]] = None,
                  approaches: Sequence[str] = APPROACH_BUILDERS,
@@ -44,13 +44,14 @@ def run_fig3a_3b(quick: bool = True,
     threads = tuple(threads if threads is not None else
                     (QUICK_THREADS if quick else FULL_THREADS))
     spec = _spec(quick)
+    cores = tile_gx().num_cores
     fig_a = FigureData("fig3a", "Counter throughput (Fig 3a)",
                        "application threads", "throughput (Mops/s)")
     fig_b = FigureData("fig3b", "Counter latency (Fig 3b)",
                        "application threads", "latency (cycles)")
     pts = [point(approach, t, run_counter_benchmark, approach, t, spec=spec)
            for approach in approaches for t in threads
-           if t <= _max_threads(approach)]
+           if t + num_servers(approach) <= cores]
     for p, r in zip(pts, run_sweep(pts, jobs=jobs, name="fig3a/3b")):
         fig_a.add_point(p.label, p.x, r)
         fig_b.add_point(p.label, p.x, r)

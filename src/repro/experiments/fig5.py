@@ -12,10 +12,12 @@ from typing import Optional, Sequence
 
 from repro.analysis.series import FigureData
 from repro.experiments.parallel import point, run_sweep
+from repro.machine import tile_gx
 from repro.workload.driver import WorkloadSpec
 from repro.workload.scenarios import (
     QUEUE_IMPLS,
     STACK_IMPLS,
+    num_servers,
     run_queue_benchmark,
     run_stack_benchmark,
 )
@@ -31,11 +33,12 @@ def _spec(quick: bool) -> WorkloadSpec:
 
 
 def _max_clients(impl: str) -> int:
+    cores = tile_gx().num_cores
     if impl == "mp-server-2":
-        return 34  # two dedicated server cores
-    if impl in ("LCRQ", "Treiber", "HybComb", "CC-Synch", "HybComb-1", "CC-Synch-1"):
-        return 36
-    return 35  # one dedicated server core
+        return cores - 2  # two dedicated server cores
+    if impl in ("LCRQ", "Treiber"):
+        return cores
+    return cores - num_servers(impl.removesuffix("-1"))
 
 
 def run_fig5a(quick: bool = True,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.series import FigureData
-from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
+from repro.core import OpTable
 from repro.experiments.parallel import point, run_sweep
 from repro.faults import CrashThread, FaultInjector, FaultPlan
 from repro.machine import Machine, tile_gx
@@ -43,7 +43,7 @@ from repro.workload.openloop import (
     OpenLoopSpec,
     run_openloop_workload,
 )
-from repro.workload.scenarios import run_counter_benchmark
+from repro.workload.scenarios import build_approach, run_counter_benchmark
 
 __all__ = ["APPROACHES", "measure_capacity", "overload_slos",
            "run_overload", "run_overload_point"]
@@ -90,35 +90,6 @@ def overload_slos() -> Tuple[SLO, ...]:
     )
 
 
-def _build(approach: str, machine: Machine, optable: OpTable,
-           n_clients: int) -> Tuple:
-    """(prim, client tids) for an approach label, lease variant included."""
-    if approach == "mp-server":
-        prim = MPServer(machine, optable, server_tid=0)
-        tids = range(1, n_clients + 1)
-    elif approach == "mp-server-ft":
-        prim = MPServer(machine, optable, server_tid=0, server_core=0,
-                        backup_tid=1, backup_core=1, request_timeout=2_000)
-        tids = range(2, n_clients + 2)
-    elif approach == "shm-server":
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, n_clients + 1))
-        tids = range(1, n_clients + 1)
-    elif approach == "HybComb":
-        prim = HybComb(machine, optable)
-        tids = range(n_clients)
-    elif approach == "HybComb-lease":
-        prim = HybComb(machine, optable, lease_cycles=3_000,
-                       request_timeout=6_000)
-        tids = range(n_clients)
-    elif approach == "CC-Synch":
-        prim = CCSynch(machine, optable)
-        tids = range(n_clients)
-    else:
-        raise ValueError(f"unknown approach {approach!r}")
-    return prim, list(tids)
-
-
 def measure_capacity(approach: str, *, quick: bool = True) -> float:
     """Closed-loop capacity (Mops/s) of ``approach`` at NUM_CLIENTS."""
     base = "HybComb" if approach == "HybComb-lease" else approach
@@ -158,8 +129,7 @@ def run_overload_point(
     the backup takes over and dedup keeps the run exactly-once).
     """
     machine = Machine(tile_gx())
-    optable = OpTable()
-    prim, tids = _build(approach, machine, optable, NUM_CLIENTS)
+    prim, tids = build_approach(approach, machine, OpTable(), NUM_CLIENTS)
     counter = LockedCounter(prim)
     prim.start()
     ctxs = [machine.thread(t) for t in tids]

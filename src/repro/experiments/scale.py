@@ -39,7 +39,7 @@ from repro.machine.machine import Machine, ThreadCtx
 from repro.objects import LockedCounter
 from repro.workload.driver import WorkloadSpec, run_workload
 from repro.workload.metrics import RunResult
-from repro.workload.scenarios import build_approach
+from repro.workload.scenarios import build_approach, num_servers
 
 __all__ = ["MESHES", "SCALE_APPROACHES", "run_scale", "run_scale_point",
            "run_scale_smoke"]
@@ -113,8 +113,7 @@ def run_scale_point(approach: str, num_cores: int, *,
         return _attach_dir_stats(machine, result)
 
     optable = OpTable()
-    clients = num_cores - 1 if approach in ("mp-server", "shm-server") \
-        else num_cores
+    clients = num_cores - num_servers(approach)
     prim, tids = build_approach(approach, machine, optable, clients)
     counter = LockedCounter(prim)
     prim.start()

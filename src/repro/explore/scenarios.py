@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.analysis.linearizability import (
     StackSpec,
     check_linearizable,
 )
-from repro.core import CCSynch, FlatCombining, HybComb, MPServer, OpTable, ShmServer
+from repro.core import OpTable
 from repro.explore.policy import SchedulePolicy
 from repro.faults import CrashThread, FaultInjector, FaultPlan
 from repro.machine import Machine, mesh_profile, tile_gx
@@ -68,6 +68,7 @@ from repro.workload.openloop import (
     bounded_source,
     bounded_worker,
 )
+from repro.workload.scenarios import build_approach
 
 __all__ = ["Scenario", "Outcome", "run_scenario", "matrix", "scenario_by_id",
            "SMALL_MATRIX", "FULL_MATRIX", "MUTATION_SCENARIO"]
@@ -172,46 +173,29 @@ def _register_counter(machine: Machine, optable: OpTable) -> Tuple[int, int]:
     return addr, opcode
 
 
+#: client timeout of the fault-tolerant scenarios, in place of the
+#: table's 2 000; recorded bundles replay bit-identically only with it
+_FT_REQUEST_TIMEOUT = 9_000
+
+
 def _build_prim(scn: Scenario, machine: Machine, optable: OpTable):
-    """Returns (prim, client_tids, faults) for a delegation scenario."""
-    n = scn.nthreads
-    faults: Tuple = ()
-    if scn.algo == "mp-server":
-        prim = MPServer(machine, optable, server_tid=0)
-        tids = range(1, n + 1)
-    elif scn.algo == "mp-server-ft":
-        prim = MPServer(machine, optable, server_tid=0, server_core=0,
-                        backup_tid=1, backup_core=1, request_timeout=9_000)
-        tids = range(2, n + 2)
-        if scn.fault == "crash-server":
-            faults = (CrashThread(tid=0, at_cycle=2_500),)
-    elif scn.algo == "shm-server":
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, n + 1))
-        tids = range(1, n + 1)
-    elif scn.algo == "shm-server-cancel":
-        # the withdrawable-request protocol: timed dispatches race the
-        # server for the claim word (see repro.core.shm_server)
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, n + 1), cancellable=True)
-        tids = range(1, n + 1)
-    elif scn.algo == "HybComb":
-        prim = HybComb(machine, optable, max_ops=scn.max_ops)
-        tids = range(n)
-    elif scn.algo == "hybcomb-buggy":
+    """Returns (prim, client_tids, faults) for a delegation scenario.
+
+    The approach table builds every label; this adds only what belongs
+    to the scenario: the server crash and the seeded-bug mutant.
+    """
+    if scn.algo == "hybcomb-buggy":
         from repro.explore.mutations import BuggyHybComb
         prim = BuggyHybComb(machine, optable, max_ops=scn.max_ops,
                             lease_cycles=600, request_timeout=1_200)
-        tids = range(n)
-    elif scn.algo == "CC-Synch":
-        prim = CCSynch(machine, optable, max_ops=scn.max_ops)
-        tids = range(n)
-    elif scn.algo == "flat-combining":
-        prim = FlatCombining(machine, optable)
-        tids = range(n)
-    else:
-        raise ValueError(f"unknown algorithm {scn.algo!r}")
-    return prim, list(tids), faults
+        return prim, list(range(scn.nthreads)), ()
+    prim, tids = build_approach(scn.algo, machine, optable, scn.nthreads,
+                                max_ops=scn.max_ops,
+                                request_timeout=_FT_REQUEST_TIMEOUT)
+    faults: Tuple = ()
+    if scn.algo == "mp-server-ft" and scn.fault == "crash-server":
+        faults = (CrashThread(tid=0, at_cycle=2_500),)
+    return prim, tids, faults
 
 
 def _client_ctxs(scn: Scenario, machine: Machine,

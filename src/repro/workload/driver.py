@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.api import SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
-from repro.workload.metrics import RunResult
+from repro.workload.metrics import RunResult, finish_result
 
 __all__ = ["WorkloadSpec", "run_ops", "run_workload"]
 
@@ -219,13 +219,6 @@ def run_workload(
         clock_mhz=machine.cfg.clock_mhz,
         per_thread_ops=list(ops_done),
     )
-    result.latency_samples = latencies
-    if latencies:
-        arr = np.asarray(latencies)
-        result.mean_latency_cycles = float(arr.mean())
-        result.p50_latency_cycles = float(np.percentile(arr, 50))
-        result.p95_latency_cycles = float(np.percentile(arr, 95))
-        result.p99_latency_cycles = float(np.percentile(arr, 99))
 
     # servicing-thread breakdown (Figure 4a):  For server approaches the
     # service core set is fixed; for combiners it is every core that
@@ -261,17 +254,6 @@ def run_workload(
         if window_sessions:
             result.combining_rate = float(np.mean(window_sessions))
 
-    # recovery metrics (fault-injection runs): primitives expose
-    # ``recovery_stats`` when a fault-tolerance mode is enabled
-    stats = getattr(prim, "recovery_stats", None) if prim is not None else None
-    if stats:
-        ttr = stats.get("time_to_recovery")
-        result.time_to_recovery_cycles = float(ttr) if ttr is not None else None
-        result.ops_retried = int(stats.get("ops_retried", 0))
-        result.duplicates_suppressed = int(stats.get("duplicates_suppressed", 0))
-        result.failovers = int(stats.get("failovers", 0))
-        result.takeovers = int(stats.get("takeovers", 0))
-
     # observability: reconstruct the same numbers from the perf counter
     # file and attach window totals to the result (``obs.*`` extras)
     if obs is not None:
@@ -298,18 +280,4 @@ def run_workload(
             result.extra["obs.hottest_line_stall_cycles"] = float(
                 hot.get("stall_cycles", 0))
 
-    # continuous-telemetry summary (excluded from figure fingerprints as
-    # a field, like the host-perf provenance below)
-    if sampler is not None:
-        result.telemetry = sampler.summary()
-    if obs is not None and getattr(obs, "spatial", None) is not None:
-        if result.telemetry is None:
-            result.telemetry = {}
-        result.telemetry["spatial"] = obs.spatial.summary()
-
-    # host-perf provenance (wall time / engine event rate); see the
-    # RunResult field docs -- never feeds back into simulated results
-    result.host_wall_seconds = time.perf_counter() - host_t0
-    result.host_events_processed = machine.sim.events_processed - host_ev0
-
-    return result
+    return finish_result(result, machine, prim, latencies, host_t0, host_ev0)

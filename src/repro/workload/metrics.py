@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = ["RunResult"]
+import numpy as np
+
+__all__ = ["RunResult", "finish_result"]
 
 
 @dataclass
@@ -100,7 +103,6 @@ class RunResult:
         if val is not None:
             return val
         if self.latency_samples:
-            import numpy as np
             return float(np.percentile(np.asarray(self.latency_samples), 99.9))
         return 0.0
 
@@ -195,3 +197,45 @@ class RunResult:
                 f" failovers={self.failovers}"
             )
         return "  ".join(parts)
+
+
+def finish_result(result: RunResult, machine: Any, prim: Any,
+                  latencies: List[int], host_t0: float,
+                  host_ev0: int) -> RunResult:
+    """The result tail both drivers share, applied once at the end of a run.
+
+    Sets the window's latency samples and percentiles, the observability
+    session's telemetry summaries, the primitive's recovery metrics
+    (primitives expose ``recovery_stats`` when a fault-tolerance mode is
+    on) and the host-perf provenance, which never feeds back into
+    simulated results.
+    """
+    result.latency_samples = latencies
+    if latencies:
+        arr = np.asarray(latencies)
+        result.mean_latency_cycles = float(arr.mean())
+        result.p50_latency_cycles = float(np.percentile(arr, 50))
+        result.p95_latency_cycles = float(np.percentile(arr, 95))
+        result.p99_latency_cycles = float(np.percentile(arr, 99))
+
+    obs = machine.obs
+    if obs is not None:
+        if obs.sampler is not None:
+            result.telemetry = obs.sampler.summary()
+        if getattr(obs, "spatial", None) is not None:
+            if result.telemetry is None:
+                result.telemetry = {}
+            result.telemetry["spatial"] = obs.spatial.summary()
+
+    stats = getattr(prim, "recovery_stats", None)
+    if stats:
+        ttr = stats.get("time_to_recovery")
+        result.time_to_recovery_cycles = float(ttr) if ttr is not None else None
+        result.ops_retried = int(stats.get("ops_retried", 0))
+        result.duplicates_suppressed = int(stats.get("duplicates_suppressed", 0))
+        result.failovers = int(stats.get("failovers", 0))
+        result.takeovers = int(stats.get("takeovers", 0))
+
+    result.host_wall_seconds = time.perf_counter() - host_t0
+    result.host_events_processed = machine.sim.events_processed - host_ev0
+    return result

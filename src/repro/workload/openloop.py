@@ -54,7 +54,7 @@ from repro.core.api import NULL_ARG, DispatchTimeout, SyncPrimitive
 from repro.machine.machine import Machine, ThreadCtx
 from repro.obs.timeseries import TimeSeries
 from repro.sim.resources import Condition
-from repro.workload.metrics import RunResult
+from repro.workload.metrics import RunResult, finish_result
 
 __all__ = [
     "AdmissionQueue",
@@ -622,14 +622,8 @@ def run_openloop_workload(
         clock_mhz=clock,
         per_thread_ops=list(ops_done),
     )
-    result.latency_samples = latencies
     if latencies:
-        arr = np.asarray(latencies)
-        result.mean_latency_cycles = float(arr.mean())
-        result.p50_latency_cycles = float(np.percentile(arr, 50))
-        result.p95_latency_cycles = float(np.percentile(arr, 95))
-        result.p99_latency_cycles = float(np.percentile(arr, 99))
-        result.extra["ol.p999_latency"] = float(np.percentile(arr, 99.9))
+        result.extra["ol.p999_latency"] = float(np.percentile(latencies, 99.9))
         result.extra["ol.mean_admit_wait"] = float(np.mean(admit_waits))
 
     queue_shed = sum(q.shed for q in queues) - shed0
@@ -655,12 +649,6 @@ def run_openloop_workload(
         result.extra["ol.qdepth_max"] = float(depth_ts.peak())
         result.extra["ol.qdepth_mean"] = float(depth_ts.mean())
         result.extra["ol.qdepth_final"] = float(depth_ts.last_value)
-    if sampler is not None:
-        result.telemetry = sampler.summary()
-    if ob is not None and getattr(ob, "spatial", None) is not None:
-        if result.telemetry is None:
-            result.telemetry = {}
-        result.telemetry["spatial"] = ob.spatial.summary()
 
     if adm.slo_cycles is not None:
         # a slice is in-SLO when nothing completed over target in it and
@@ -673,21 +661,4 @@ def run_openloop_workload(
                 good += 1
         result.extra["ol.time_in_slo"] = good / _SLO_SLICES
 
-    # recovery metrics, as in the closed-loop driver (fault-injection runs)
-    stats = getattr(prim, "recovery_stats", None)
-    if stats:
-        ttr = stats.get("time_to_recovery")
-        result.time_to_recovery_cycles = (
-            float(ttr) if ttr is not None else None)
-        result.ops_retried = int(stats.get("ops_retried", 0))
-        result.duplicates_suppressed = int(
-            stats.get("duplicates_suppressed", 0))
-        result.failovers = int(stats.get("failovers", 0))
-        result.takeovers = int(stats.get("takeovers", 0))
-
-    # host-perf provenance, as in run_workload (never feeds back into
-    # simulated results)
-    result.host_wall_seconds = time.perf_counter() - host_t0
-    result.host_events_processed = machine.sim.events_processed - host_ev0
-
-    return result
+    return finish_result(result, machine, prim, latencies, host_t0, host_ev0)

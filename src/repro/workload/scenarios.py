@@ -2,10 +2,10 @@
 
 These are the entry points behind every figure and the public
 quickstart.  Each function builds a fresh machine with the requested
-profile, instantiates the approach and the concurrent object, applies
-the paper's thread-placement rules (server thread = thread 0 on core 0,
-application threads pinned in ascending core order) and runs the
-Section 5.2 loop via :func:`~repro.workload.driver.run_workload`.
+profile, builds the approach and its client placement from the one
+approach table (:data:`APPROACH_TABLE`, via :func:`build_approach`),
+instantiates the concurrent object and runs the Section 5.2 loop via
+:func:`~repro.workload.driver.run_workload`.
 
 Implementation labels follow the paper's legends:
 
@@ -19,9 +19,9 @@ Implementation labels follow the paper's legends:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core import CCSynch, HybComb, MPServer, OpTable, ShmServer
+from repro.core import CCSynch, FlatCombining, HybComb, MPServer, OpTable, ShmServer
 from repro.core.api import SyncPrimitive
 from repro.faults import FaultInjector, FaultPlan
 from repro.machine import Machine, MachineConfig, tile_gx
@@ -41,9 +41,11 @@ from repro.workload.metrics import RunResult
 
 __all__ = [
     "APPROACH_BUILDERS",
+    "APPROACH_TABLE",
     "QUEUE_IMPLS",
     "STACK_IMPLS",
     "build_approach",
+    "num_servers",
     "run_counter_benchmark",
     "run_cs_length_benchmark",
     "run_fault_recovery_benchmark",
@@ -51,48 +53,96 @@ __all__ = [
     "run_stack_benchmark",
 ]
 
+
+class Approach(NamedTuple):
+    """One row of the approach table."""
+
+    ctor: Callable[..., SyncPrimitive]
+    #: constructor arguments fixed for this label
+    kwargs: Mapping[str, Any]
+    #: low tids the label's server threads reserve (0 for combiners)
+    servers: int
+
+
+#: Every approach label and how to build it.  Placement per Section 5.2:
+#: "thread i is pinned to core i.  With server-based approaches the
+#: server code is executed by thread 0, and other threads execute
+#: application code" -- so servers take tids 0..servers-1 and clients
+#: the tids right above them.
+APPROACH_TABLE: Dict[str, Approach] = {
+    "mp-server": Approach(MPServer, {"server_tid": 0}, 1),
+    # fault-tolerant mode: hot standby on thread/core 1 (repro.core.mp_server)
+    "mp-server-ft": Approach(MPServer, {
+        "server_tid": 0, "server_core": 0, "backup_tid": 1, "backup_core": 1,
+        "request_timeout": 2_000}, 2),
+    "shm-server": Approach(ShmServer, {"server_tid": 0}, 1),
+    # the withdrawable-request protocol: timed dispatches race the server
+    # for the claim word (repro.core.shm_server)
+    "shm-server-cancel": Approach(ShmServer, {"server_tid": 0,
+                                              "cancellable": True}, 1),
+    "HybComb": Approach(HybComb, {}, 0),
+    # combiner leases with takeover (repro.core.hybcomb)
+    "HybComb-lease": Approach(HybComb, {"lease_cycles": 3_000,
+                                        "request_timeout": 6_000}, 0),
+    "CC-Synch": Approach(CCSynch, {}, 0),
+    "flat-combining": Approach(FlatCombining, {}, 0),
+}
+
+#: the constructors that take MAX_OPS (and a permanent combiner)
+_COMBINERS = (HybComb, CCSynch)
+
+
+def _approach(name: str) -> Approach:
+    try:
+        return APPROACH_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown approach {name!r}; pick one of "
+                         f"{', '.join(APPROACH_TABLE)}") from None
+
+
+def num_servers(name: str) -> int:
+    """Low tids the servers of approach ``name`` reserve (0 for combiners)."""
+    return _approach(name).servers
+
+
 def build_approach(
     name: str,
     machine: Machine,
     optable: OpTable,
     num_threads: int,
     *,
-    max_ops: int = 200,
+    max_ops: Optional[int] = 200,
+    request_timeout: Optional[int] = None,
 ) -> Tuple[SyncPrimitive, List[int]]:
-    """Create an approach by its paper label; returns (prim, app_tids).
+    """Create an approach by its label; returns (prim, app_tids).
 
-    Placement per Section 5.2: "thread i is pinned to core i.  With
-    server-based approaches the server code is executed by thread 0, and
-    other threads execute application code."
+    ``max_ops`` applies to HybComb and CC-Synch; ``None`` makes thread 0
+    a permanent combiner (footnote 4: "equivalent to setting MAX_OPS =
+    inf") that reserves tid 0 like a server.  ``request_timeout``, when
+    given, replaces the table's client timeout on the labels that have
+    one.  Other labels ignore both.
     """
+    ctor, fixed, servers = _approach(name)
+    kwargs = dict(fixed)
+    if ctor in _COMBINERS:
+        if max_ops is None:
+            kwargs["fixed_combiner_tid"] = 0
+            servers = 1
+        else:
+            kwargs["max_ops"] = max_ops
+    if request_timeout is not None and "request_timeout" in kwargs:
+        kwargs["request_timeout"] = request_timeout
     limit = machine.cfg.num_cores
-    if name == "mp-server":
-        if num_threads + 1 > limit:
-            raise ValueError(f"{num_threads} clients + server exceed {limit} cores")
-        prim = MPServer(machine, optable, server_tid=0)
-        tids = list(range(1, num_threads + 1))
-    elif name == "shm-server":
-        if num_threads + 1 > limit:
-            raise ValueError(f"{num_threads} clients + server exceed {limit} cores")
-        prim = ShmServer(machine, optable, server_tid=0,
-                         client_tids=range(1, num_threads + 1))
-        tids = list(range(1, num_threads + 1))
-    elif name == "HybComb":
-        if num_threads > limit:
-            raise ValueError(f"{num_threads} threads exceed {limit} cores")
-        prim = HybComb(machine, optable, max_ops=max_ops)
-        tids = list(range(num_threads))
-    elif name == "CC-Synch":
-        if num_threads > limit:
-            raise ValueError(f"{num_threads} threads exceed {limit} cores")
-        prim = CCSynch(machine, optable, max_ops=max_ops)
-        tids = list(range(num_threads))
-    else:
-        raise ValueError(f"unknown approach {name!r}; pick one of "
-                         "mp-server / HybComb / shm-server / CC-Synch")
-    return prim, tids
+    if servers + num_threads > limit:
+        raise ValueError(f"{num_threads} threads + {servers} server(s) "
+                         f"exceed {limit} cores")
+    tids = list(range(servers, servers + num_threads))
+    if ctor is ShmServer:
+        kwargs["client_tids"] = tids
+    return ctor(machine, optable, **kwargs), tids
 
 
+#: the four approaches of the evaluation, in the paper's legend order
 APPROACH_BUILDERS = ("mp-server", "HybComb", "shm-server", "CC-Synch")
 QUEUE_IMPLS = ("mp-server-1", "HybComb-1", "shm-server-1", "CC-Synch-1",
                "mp-server-2", "LCRQ")
@@ -126,28 +176,27 @@ def run_counter_benchmark(
     ``fault_plan`` injects faults (see :mod:`repro.faults`) into the run;
     an empty plan leaves the run bit-for-bit unchanged.
     """
-    spec = spec or WorkloadSpec()
     machine = _fresh_machine(cfg)
-    optable = OpTable()
-    if fixed_combiner and approach in ("HybComb", "CC-Synch"):
-        # footnote 4: a permanent combiner on thread 0 (= MAX_OPS inf);
-        # application threads are 1..T, like the server approaches
-        cls = HybComb if approach == "HybComb" else CCSynch
-        prim = cls(machine, optable, fixed_combiner_tid=0)
-        tids = list(range(1, num_threads + 1))
-    else:
-        prim, tids = build_approach(approach, machine, optable, num_threads,
-                                    max_ops=max_ops)
+    prim, tids = build_approach(approach, machine, OpTable(), num_threads,
+                                max_ops=None if fixed_combiner else max_ops)
+    return _counter_run(machine, prim, tids, spec, fault_plan, approach)
+
+
+def _counter_run(machine: Machine, prim: SyncPrimitive, tids: List[int],
+                 spec: Optional[WorkloadSpec], fault_plan: Optional[FaultPlan],
+                 name: str) -> RunResult:
+    """The counter loop on a built approach, with optional faults."""
     counter = LockedCounter(prim)
     prim.start()
     ctxs = [machine.thread(tid) for tid in tids]
-    if fault_plan is not None and fault_plan:
+    if fault_plan:
         FaultInjector(machine, fault_plan).install()
 
     def make_op(ctx: ThreadCtx):
         return lambda k: counter.increment(ctx)
 
-    return run_workload(machine, ctxs, make_op, spec, name=approach, prim=prim)
+    return run_workload(machine, ctxs, make_op, spec or WorkloadSpec(),
+                        name=name, prim=prim)
 
 
 # ---------------------------------------------------------------------------
@@ -159,38 +208,20 @@ def run_fault_recovery_benchmark(
     *,
     spec: Optional[WorkloadSpec] = None,
     cfg: Optional[MachineConfig] = None,
-    request_timeout: int = 2_000,
     fault_plan: Optional[FaultPlan] = None,
 ) -> RunResult:
     """Contended counter on fault-tolerant MP-SERVER with a hot standby.
 
-    Thread 0 / core 0 run the primary server, thread 1 / core 1 the
-    backup; clients occupy threads 2..  ``fault_plan`` typically crashes
+    The table's ``mp-server-ft`` row: thread 0 / core 0 run the primary
+    server, thread 1 / core 1 the backup, clients occupy threads 2.. and
+    time out after 2 000 cycles.  ``fault_plan`` typically crashes
     the primary mid-window: clients time out, back off, fail over to the
     backup, and the run completes with recovery metrics in the result.
     """
-    spec = spec or WorkloadSpec()
     machine = _fresh_machine(cfg)
-    if num_clients + 2 > machine.cfg.num_cores:
-        raise ValueError(
-            f"{num_clients} clients + two servers exceed "
-            f"{machine.cfg.num_cores} cores"
-        )
-    optable = OpTable()
-    prim = MPServer(machine, optable, server_tid=0, server_core=0,
-                    backup_tid=1, backup_core=1,
-                    request_timeout=request_timeout)
-    counter = LockedCounter(prim)
-    prim.start()
-    ctxs = [machine.thread(tid) for tid in range(2, num_clients + 2)]
-    if fault_plan is not None and fault_plan:
-        FaultInjector(machine, fault_plan).install()
-
-    def make_op(ctx: ThreadCtx):
-        return lambda k: counter.increment(ctx)
-
+    prim, tids = build_approach("mp-server-ft", machine, OpTable(), num_clients)
     name = "mp-server-ft" + ("-faulty" if fault_plan else "")
-    return run_workload(machine, ctxs, make_op, spec, name=name, prim=prim)
+    return _counter_run(machine, prim, tids, spec, fault_plan, name)
 
 
 def run_cs_length_benchmark(

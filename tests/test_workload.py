@@ -14,6 +14,7 @@ from repro.workload import (
     run_workload,
 )
 from repro.workload.metrics import RunResult
+from repro.workload.scenarios import APPROACH_TABLE, build_approach, num_servers
 
 
 # -- RunResult math ---------------------------------------------------------
@@ -157,6 +158,21 @@ def test_counter_benchmark_rejects_too_many_threads():
         run_counter_benchmark("mp-server", 36)
     with pytest.raises(ValueError, match="exceed"):
         run_counter_benchmark("HybComb", 37)
+
+
+def test_fixed_combiner_rejects_too_many_threads():
+    # the permanent combiner reserves tid 0 like a server: 36 clients
+    # plus the combiner do not fit the 36-core machine
+    for approach in ("HybComb", "CC-Synch"):
+        with pytest.raises(ValueError, match="exceed 36 cores"):
+            run_counter_benchmark(approach, 36, fixed_combiner=True)
+
+
+@pytest.mark.parametrize("label", sorted(APPROACH_TABLE))
+def test_approach_table_places_clients_above_servers(label):
+    _, tids = build_approach(label, Machine(tile_gx()), OpTable(), 4)
+    first = num_servers(label)
+    assert tids == list(range(first, first + 4))
 
 
 def test_counter_benchmark_unknown_approach():
