@@ -100,7 +100,9 @@ class Observability:
         self.label = label or machine.cfg.name
         self.bus = EventBus(machine.sim)
         self.counters = PerfCounters(machine)
-        self.bus.subscribe(self.counters.on_event)
+        # registered first: every later kind-filtered subscriber (SLO,
+        # flight recorder, spatial atlas) sees the registers updated
+        self.counters.attach(self.bus)
         self.trace: Optional[TraceCollector] = None
         if trace:
             self.trace = TraceCollector(num_cores=len(machine.cores),

@@ -79,12 +79,22 @@ Subscribers are plain callables ``fn(cycle, kind, fields)``; they must
 treat events as read-only and must not touch simulation state (the bus
 is an observer, never an actor -- enabling it cannot change an
 execution).
+
+Routing
+-------
+A subscriber is registered for every event (:meth:`EventBus.subscribe`)
+or for a list of kinds (:meth:`EventBus.subscribe_kinds`).  ``emit``
+resolves the kind to a tuple of subscribers with one dict probe and
+calls exactly those: full subscribers first, then kind-filtered ones,
+each group in subscription order.  The route table fills lazily, one
+entry on a kind's first emit, and is dropped whenever a subscription
+changes, so a kind nobody subscribed to costs no Python call at all.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["EventBus"]
 
@@ -95,7 +105,7 @@ class EventBus:
     """Fan-out of structured observability events to subscribers."""
 
     __slots__ = ("sim", "events_emitted", "_subs", "recent",
-                 "_recent_append", "_kind_subs")
+                 "_recent_append", "_kind_subs", "_routes")
 
     def __init__(self, sim):
         self.sim = sim
@@ -105,30 +115,39 @@ class EventBus:
         #: bounded ring of the most recent events (see :meth:`keep_recent`)
         self.recent: Optional[deque] = None
         self._recent_append = None
-        self._kind_subs: Optional[Dict[str, List[Subscriber]]] = None
+        self._kind_subs: Dict[str, List[Subscriber]] = {}
+        #: kind -> every subscriber of that kind, in call order
+        self._routes: Dict[str, Tuple[Subscriber, ...]] = {}
 
     def subscribe(self, fn: Subscriber) -> None:
         """Register ``fn(cycle, kind, fields)`` for every event."""
         self._subs.append(fn)
+        self._routes.clear()
 
     def unsubscribe(self, fn: Subscriber) -> None:
         self._subs.remove(fn)
+        self._routes.clear()
 
     def subscribe_kinds(self, kinds: Iterable[str], fn: Subscriber) -> None:
         """Register ``fn`` for the listed kinds only.
 
-        Kind-filtered subscribers cost one dict probe per event instead
-        of a Python call -- the difference between "can leave it on" and
-        "10% tax" for consumers that care about a handful of kinds (SLO
-        monitors want ``op.end``, the flight recorder wants its trigger
-        kinds).  They run *after* every full subscriber, so a filtered
-        handler always observes counter/monitor state already updated
-        for the triggering event.
+        ``fn`` is called for those kinds and no others: the bus routes
+        each event by kind, so a consumer that cares about a handful of
+        kinds (the counter registers, SLO monitors on ``op.end``, the
+        flight recorder's trigger kinds) costs nothing on the rest.
+        Kind-filtered subscribers run *after* every full subscriber, in
+        subscription order, so a handler registered later always
+        observes the state of earlier ones already updated for the
+        triggering event.
         """
-        if self._kind_subs is None:
-            self._kind_subs = {}
         for kind in kinds:
             self._kind_subs.setdefault(kind, []).append(fn)
+        self._routes.clear()
+
+    def _route(self, kind: str) -> Tuple[Subscriber, ...]:
+        fns = tuple(self._subs) + tuple(self._kind_subs.get(kind, ()))
+        self._routes[kind] = fns
+        return fns
 
     def keep_recent(self, limit: int) -> deque:
         """Keep a bounded ring of the last ``limit`` events on the bus.
@@ -150,11 +169,9 @@ class EventBus:
         ra = self._recent_append
         if ra is not None:
             ra((t, kind, fields))
-        for fn in self._subs:
+        try:
+            fns = self._routes[kind]
+        except KeyError:
+            fns = self._route(kind)
+        for fn in fns:
             fn(t, kind, fields)
-        ks = self._kind_subs
-        if ks is not None:
-            fns = ks.get(kind)
-            if fns is not None:
-                for fn in fns:
-                    fn(t, kind, fields)

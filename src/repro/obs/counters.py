@@ -48,6 +48,13 @@ The event-derived ``stall_*`` registers in ``core`` must always equal
 the ``hw`` stall registers: both are incremented at the same sites with
 the same values, and a test holds them together (the guard against
 double-counting when the accounting is refactored).
+
+Ingestion
+---------
+:meth:`PerfCounters.attach` subscribes each register handler to the one
+bus kind it counts, so the bus calls a handler only for its own kind
+and never for the kinds no register counts (``op.begin``/``op.end``,
+``proc.spawn``/``proc.exit``, ``combiner.open``, ...).
 """
 
 from __future__ import annotations
@@ -55,18 +62,15 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Dict
 
-import numpy as np
-
 __all__ = ["PerfCounters", "counters_csv", "merge_counters", "latency_bucket"]
 
-# Fixed register slots for the UDN event handlers -- the four
-# highest-frequency bus events under the Figure 3 workloads (every
-# message send/deliver/receive fires one).  These registers live in a
-# (cores x slots) int64 array instead of the nested str-keyed dicts the
-# cold handlers use: a fixed-slot write with no string hashing, and a
-# layout the compiled engine core's hook can feed without boxing.
-# snapshot() folds them back into the plain-dict register shape, so the
-# query surface is unchanged.
+# Fixed register slots for the UDN event handlers -- the highest-frequency
+# bus events under the message-passing workloads (every message fires one
+# send, one deliver and one receive).  These registers live in one list of
+# plain ints per core instead of the nested str-keyed dicts the cold
+# handlers use: an indexed int add, with no string hashing and no numpy
+# scalar boxing.  snapshot() folds them back into the plain-dict register
+# shape, so the query surface is unchanged.
 (_U_MSGS_SENT, _U_WORDS_SENT, _U_MSGS_RECV, _U_WORDS_RECV,
  _U_WAIT, _U_BP_CYCLES, _U_BP_EVENTS) = range(7)
 _U_SLOTS = 7
@@ -74,6 +78,16 @@ _U_SLOTS = 7
 #: udn_hist buckets; bucket k is latency bit_length (64-bit cycle
 #: counts fit with room to spare)
 _U_HIST = 80
+
+#: kinds that each bump one ``global`` register by one
+_GLOBAL_COUNTS = {
+    "udn.timeout": "udn_timeouts",
+    "proc.kill": "proc_kills",
+    "proc.interrupt": "proc_interrupts",
+    "fault.retry": "ops_retried",
+    "fault.failover": "failovers",
+    "fault.takeover": "takeovers",
+}
 
 
 def latency_bucket(latency: int) -> int:
@@ -111,11 +125,13 @@ class PerfCounters:
         self.line = _nested()       # line no -> register -> value
         self.link = _nested()       # "a->b" -> register -> value
         self.global_: Dict[str, int] = defaultdict(int)
-        # hot UDN registers: numpy-backed, folded into the dict shape at
-        # snapshot time (see the slot constants at module top)
+        #: cache.miss events so far (the sum of every core's ``misses``)
+        self.cache_misses = 0
+        # hot UDN registers: fixed int slots, folded into the dict shape
+        # at snapshot time (see the slot constants at module top)
         ncores = 1 + max((c.cid for c in machine.cores), default=-1)
-        self._udn_core = np.zeros((ncores, _U_SLOTS), dtype=np.int64)
-        self._udn_hist = np.zeros(_U_HIST, dtype=np.int64)
+        self._udn_core = [[0] * _U_SLOTS for _ in range(ncores)]
+        self._udn_hist = [0] * _U_HIST
         # hw registers are reported relative to enable time: without the
         # baseline, enabling observability mid-run would make the first
         # delta() include every pre-enable cycle
@@ -136,12 +152,33 @@ class PerfCounters:
         self._source_base[name] = fn()
 
     # -- event ingestion ----------------------------------------------------
-    def on_event(self, t: int, kind: str, f: Dict[str, Any]) -> None:
-        handler = _HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, t, f)
+    def attach(self, bus) -> None:
+        """Subscribe every register handler to the kind it counts."""
+        handlers = {
+            "cache.miss": self._on_cache_miss,
+            "cache.stall": self._on_cache_stall,
+            "cache.inval": self._on_cache_inval,
+            "fence.stall": self._on_fence_stall,
+            "atomic.exec": self._on_atomic_exec,
+            "atomic.stall": self._on_atomic_stall,
+            "atomic.cas_fail": self._on_cas_fail,
+            "udn.send": self._on_udn_send,
+            "udn.backpressure": self._on_udn_backpressure,
+            "udn.deliver": self._on_udn_deliver,
+            "udn.recv": self._on_udn_recv,
+            "noc.link": self._on_noc_link,
+            "noc.packet": self._on_noc_packet,
+            "combiner.close": self._on_combiner_close,
+            "server.req": self._on_server_req,
+            "server.done": self._on_server_done,
+        }
+        for kind in _GLOBAL_COUNTS:
+            handlers[kind] = self._on_count
+        for kind, fn in handlers.items():
+            bus.subscribe_kinds((kind,), fn)
 
-    def _on_cache_miss(self, t, f):
+    def _on_cache_miss(self, t, kind, f):
+        self.cache_misses += 1
         c = self.core[f["core"]]
         c["miss." + f["op"] + "." + f["transition"]] += 1
         c["misses"] += 1
@@ -149,20 +186,20 @@ class PerfCounters:
         ln["misses"] += 1
         ln["miss_latency_cycles"] += f["latency"]
 
-    def _on_cache_stall(self, t, f):
+    def _on_cache_stall(self, t, kind, f):
         self.core[f["core"]]["stall_mem"] += f["cycles"]
         line = f.get("line")
         if line is not None:
             self.line[line]["stall_cycles"] += f["cycles"]
 
-    def _on_cache_inval(self, t, f):
+    def _on_cache_inval(self, t, kind, f):
         self.core[f["core"]]["invalidations_received"] += 1
         self.line[f["line"]]["invalidations"] += 1
 
-    def _on_fence_stall(self, t, f):
+    def _on_fence_stall(self, t, kind, f):
         self.core[f["core"]]["stall_fence"] += f["cycles"]
 
-    def _on_atomic_exec(self, t, f):
+    def _on_atomic_exec(self, t, kind, f):
         c = self.core[f["core"]]
         c["atomics"] += 1
         if f.get("cold"):
@@ -171,28 +208,30 @@ class PerfCounters:
         ln["atomics"] += 1
         self.global_["atomic_service_cycles"] += f.get("service", 0)
 
-    def _on_atomic_stall(self, t, f):
+    def _on_atomic_stall(self, t, kind, f):
         self.core[f["core"]]["stall_atomic"] += f["cycles"]
         self.line[f["line"]]["stall_cycles"] += f["cycles"]
 
-    def _on_cas_fail(self, t, f):
+    def _on_cas_fail(self, t, kind, f):
         self.core[f["core"]]["cas_failures"] += 1
         self.line[f["line"]]["cas_failures"] += 1
 
-    def _on_udn_send(self, t, f):
+    def _on_udn_send(self, t, kind, f):
         row = self._udn_core[f["core"]]
         row[_U_MSGS_SENT] += 1
         row[_U_WORDS_SENT] += f["words"]
 
-    def _on_udn_backpressure(self, t, f):
+    def _on_udn_backpressure(self, t, kind, f):
         row = self._udn_core[f["core"]]
         row[_U_BP_CYCLES] += f["cycles"]
         row[_U_BP_EVENTS] += 1
 
-    def _on_udn_deliver(self, t, f):
-        self._udn_hist[latency_bucket(f["latency"])] += 1
+    def _on_udn_deliver(self, t, kind, f):
+        lat = f["latency"]
+        # latency_bucket, inlined: bit_length is >= 1 for any lat > 0
+        self._udn_hist[lat.bit_length() if lat > 0 else 0] += 1
 
-    def _on_udn_recv(self, t, f):
+    def _on_udn_recv(self, t, kind, f):
         row = self._udn_core[f["core"]]
         row[_U_MSGS_RECV] += 1
         row[_U_WORDS_RECV] += f["words"]
@@ -201,47 +240,41 @@ class PerfCounters:
     @property
     def udn_hist(self) -> Dict[int, int]:
         """Delivery-latency histogram as a plain dict (buckets hit)."""
-        return {k: int(v) for k, v in enumerate(self._udn_hist) if v}
+        return {k: v for k, v in enumerate(self._udn_hist) if v}
 
-    def _on_udn_timeout(self, t, f):
-        self.global_["udn_timeouts"] += 1
-
-    def _on_noc_link(self, t, f):
+    def _on_noc_link(self, t, kind, f):
         lk = self.link[f"{f['a']}->{f['b']}"]
         lk["flit_cycles"] += f["busy"]
         lk["wait_cycles"] += f["wait"]
 
-    def _on_noc_packet(self, t, f):
+    def _on_noc_packet(self, t, kind, f):
         self.global_["noc_packets"] += 1
         self.global_["noc_packet_cycles"] += f["cycles"]
 
-    def _on_combiner_close(self, t, f):
+    def _on_combiner_close(self, t, kind, f):
         self.global_["combining_sessions"] += 1
         self.global_["combined_ops"] += f["ops"]
 
-    def _on_server_req(self, t, f):
+    def _on_server_req(self, t, kind, f):
         self.core[f["core"]]["requests_served"] += 1
         self.global_["requests_served"] += 1
 
-    def _on_server_done(self, t, f):
+    def _on_server_done(self, t, kind, f):
         self.core[f["core"]]["service_cycles"] += t - f["start"]
         self.global_["ops_serviced"] += 1
 
-    def _on_proc(self, t, f, key):
-        self.global_[key] += 1
-
-    def _on_fault(self, t, f, key):
-        self.global_[key] += 1
+    def _on_count(self, t, kind, f):
+        self.global_[_GLOBAL_COUNTS[kind]] += 1
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict copy of every register, including the core hw ones."""
         base = self._hw_base
         core = {cid: dict(regs) for cid, regs in self.core.items()}
-        # fold the numpy-backed UDN registers into the dict shape; a
+        # fold the slotted UDN registers into the dict shape; a
         # register is present iff its triggering event ever fired for
         # that core (matching the old key-on-first-increment semantics)
-        for cid, row in enumerate(self._udn_core.tolist()):
+        for cid, row in enumerate(self._udn_core):
             if not any(row):
                 continue
             regs = core.setdefault(cid, {})
@@ -255,10 +288,10 @@ class PerfCounters:
                 regs["udn_words_received"] = row[_U_WORDS_RECV]
                 regs["udn_wait_cycles"] = row[_U_WAIT]
         glob = dict(self.global_)
-        deliveries = int(self._udn_hist.sum())
+        deliveries = sum(self._udn_hist)
         if deliveries:
             glob["udn_deliveries"] = deliveries
-        bp_events = int(self._udn_core[:, _U_BP_EVENTS].sum())
+        bp_events = sum(row[_U_BP_EVENTS] for row in self._udn_core)
         if bp_events:
             glob["backpressure_events"] = bp_events
         return {
@@ -337,29 +370,3 @@ def counters_csv(agg: Dict[str, Any]) -> str:
     for name in sorted(agg.get("source", {})):
         lines.append(f"source,,{name},{agg['source'][name]}")
     return "\n".join(lines) + "\n"
-
-
-_HANDLERS = {
-    "cache.miss": PerfCounters._on_cache_miss,
-    "cache.stall": PerfCounters._on_cache_stall,
-    "cache.inval": PerfCounters._on_cache_inval,
-    "fence.stall": PerfCounters._on_fence_stall,
-    "atomic.exec": PerfCounters._on_atomic_exec,
-    "atomic.stall": PerfCounters._on_atomic_stall,
-    "atomic.cas_fail": PerfCounters._on_cas_fail,
-    "udn.send": PerfCounters._on_udn_send,
-    "udn.backpressure": PerfCounters._on_udn_backpressure,
-    "udn.deliver": PerfCounters._on_udn_deliver,
-    "udn.recv": PerfCounters._on_udn_recv,
-    "udn.timeout": PerfCounters._on_udn_timeout,
-    "noc.link": PerfCounters._on_noc_link,
-    "noc.packet": PerfCounters._on_noc_packet,
-    "combiner.close": PerfCounters._on_combiner_close,
-    "server.req": PerfCounters._on_server_req,
-    "server.done": PerfCounters._on_server_done,
-    "proc.kill": lambda self, t, f: self._on_proc(t, f, "proc_kills"),
-    "proc.interrupt": lambda self, t, f: self._on_proc(t, f, "proc_interrupts"),
-    "fault.retry": lambda self, t, f: self._on_fault(t, f, "ops_retried"),
-    "fault.failover": lambda self, t, f: self._on_fault(t, f, "failovers"),
-    "fault.takeover": lambda self, t, f: self._on_fault(t, f, "takeovers"),
-}

@@ -286,11 +286,12 @@ class Sampler:
 def register_machine_sources(sampler: Sampler, machine, counters) -> None:
     """Wire the standard per-subsystem sources of one machine.
 
-    Per-core cycle registers and cache misses aggregate over cores each
-    tick (O(cores) time, O(buckets) memory); UDN occupancy reads the
-    destination buffers' reserved words; NoC flits read the contended
-    mesh's running occupancy total.  Workload drivers add ``goodput``
-    and ``admit.qdepth`` on top when they run.
+    Per-core cycle registers aggregate over cores each tick (O(cores)
+    time, O(buckets) memory); cache misses read the counter file's
+    running total; UDN occupancy reads the destination buffers' reserved
+    words; NoC flits read the contended mesh's running occupancy total.
+    Workload drivers add ``goodput`` and ``admit.qdepth`` on top when
+    they run.
     """
     cores = machine.cores
     sampler.register(
@@ -304,10 +305,8 @@ def register_machine_sources(sampler: Sampler, machine, counters) -> None:
     sampler.register(
         "core.wait", lambda: sum(c.wait for c in cores),
         kind="counter", unit="cyc")
-    pc_core = counters.core
     sampler.register(
-        "cache.misses",
-        lambda: sum(r.get("misses", 0) for r in pc_core.values()),
+        "cache.misses", lambda: counters.cache_misses,
         kind="counter", unit="misses")
     udn = machine.udn
     if udn is not None:

@@ -5,6 +5,7 @@ import pytest
 import repro.obs as obs
 from repro.core import CCSynch, HybComb, MPServer, OpTable
 from repro.machine import Machine, tile_gx
+from repro.obs.bus import EventBus
 from repro.obs.counters import latency_bucket, merge_counters
 
 
@@ -63,6 +64,71 @@ def test_bus_emit_and_subscribe():
     assert times == sorted(times)
 
 
+def _recording_bus():
+    """A bare bus plus a factory of subscribers that log their name."""
+    bus = EventBus(Machine(tile_gx()).sim)
+    calls = []
+
+    def sub(name):
+        return lambda t, kind, f: calls.append((name, kind))
+
+    return bus, calls, sub
+
+
+def test_bus_runs_full_subscribers_before_kind_filtered():
+    bus, calls, sub = _recording_bus()
+    bus.subscribe_kinds(["x"], sub("k1"))
+    bus.subscribe(sub("f1"))
+    bus.subscribe_kinds(["x", "y"], sub("k2"))
+    bus.subscribe(sub("f2"))
+    for kind in ("x", "y", "z"):
+        bus.emit(kind)
+    assert calls == [
+        ("f1", "x"), ("f2", "x"), ("k1", "x"), ("k2", "x"),
+        ("f1", "y"), ("f2", "y"), ("k2", "y"),
+        ("f1", "z"), ("f2", "z"),
+    ]
+
+
+def test_bus_subscription_changes_reach_an_already_routed_kind():
+    bus, calls, sub = _recording_bus()
+    bus.emit("x")                       # routes "x" to nobody
+    bus.subscribe_kinds(["x"], sub("k"))
+    bus.emit("x")
+    full = sub("f")
+    bus.subscribe(full)
+    bus.emit("x")
+    bus.unsubscribe(full)
+    bus.emit("x")
+    assert calls == [("k", "x"), ("f", "x"), ("k", "x"), ("k", "x")]
+
+
+def test_bus_unsubscribed_kind_calls_nobody_but_counts_and_rings():
+    bus, calls, sub = _recording_bus()
+    ring = bus.keep_recent(8)
+    bus.subscribe_kinds(["x"], sub("k"))
+    bus.emit("y", core=3)
+    bus.emit("y", core=4)
+    assert calls == []
+    assert bus.events_emitted == 2
+    assert [(kind, f) for _t, kind, f in ring] == [("y", {"core": 3}),
+                                                  ("y", {"core": 4})]
+    # the counter file subscribes by kind: a kind no register counts
+    # routes to nobody on a fully observed machine
+    ob = Machine(tile_gx()).enable_observability()
+    ob.bus.emit("op.begin", core=0, tid=0, op=0, prim="p")
+    assert ob.bus._routes["op.begin"] == ()
+    assert ob.bus.events_emitted == 1
+
+
+@pytest.mark.parametrize("lat", [0, 1, 2, 3, 4, 63, 64, 2**40])
+def test_udn_deliver_buckets_like_latency_bucket(lat):
+    ob = Machine(tile_gx()).enable_observability()
+    ob.bus.emit("udn.deliver", core=0, demux=0, words=1, latency=lat,
+                msg_id=0)
+    assert ob.counters.udn_hist == {latency_bucket(lat): 1}
+
+
 def test_observed_session_auto_attaches_machines():
     with obs.observed() as session:
         m1 = Machine(tile_gx())
@@ -119,6 +185,10 @@ def test_counters_track_mpserver_run():
     assert sent == 2 * total
     assert snap["global"]["udn_deliveries"] == 2 * total
     assert sum(snap["udn_hist"].values()) == 2 * total
+    # the running miss total the sampler reads is the per-core sum
+    assert ob.counters.cache_misses == sum(
+        c.get("misses", 0) for c in snap["core"].values())
+    assert ob.counters.cache_misses > 0
 
 
 def test_event_stalls_equal_hw_registers():
